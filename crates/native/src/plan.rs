@@ -22,10 +22,17 @@
 //!   the exact LRU semantics are unchanged.
 //!
 //! Every cache hit verifies the stored permutation against the requested
-//! one (an O(n) memcmp, trivial next to the run): a 64-bit fingerprint
-//! collision is therefore *detected* rather than silently applying the
-//! wrong plan — the mismatch counts as [`EngineStats::collisions`] and the
-//! entry is rebuilt for the requested permutation.
+//! one: a 64-bit fingerprint collision is therefore *detected* rather
+//! than silently applying the wrong plan — the mismatch counts as
+//! [`EngineStats::collisions`] and the entry is rebuilt for the requested
+//! permutation. A [`Permutation`] is a shared handle that caches its own
+//! fingerprint, and every built plan adopts the caller's handle once the
+//! plan is proven to realise it. So a caller that reuses its permutation
+//! resolves a hit in O(1): the key is the cached fingerprint and the
+//! verification is a pointer compare. A separately built but equal
+//! permutation still hits, through the fallback: one fingerprint pass
+//! per new permutation and a full O(n) compare per hit — at 4M about
+//! 6 ms, a third of the three sweeps, so callers should keep theirs.
 //!
 //! Below the in-memory LRU sits an optional **tier-2 on-disk store**
 //! ([`SharedEngine::with_store`]): scheduled plans are serialized through
@@ -93,8 +100,8 @@ pub const CALIBRATE_ENV: &str = "HMM_NATIVE_CALIBRATE";
 /// one identity shared by the in-memory cache, the on-disk store, the
 /// codec, and the CLI. Two distinct permutations colliding on both
 /// fingerprint *and* length is a ~2⁻⁶⁴ event — and since every hit
-/// verifies the full image, a collision costs a rebuild rather than a
-/// wrong answer.
+/// proves the plan's permutation equal to the requested one, a collision
+/// costs a rebuild rather than a wrong answer.
 fn default_fingerprint(p: &Permutation) -> u64 {
     p.fingerprint()
 }
@@ -283,14 +290,25 @@ impl<T: Copy + Send + Sync + Default + 'static> PermutePlan<T> {
         Self::from_ir_on(&*crate::backend::default_backend::<T>(), ir, config)
     }
 
-    /// Prepare a scheduled plan for this IR on an explicit backend — the
-    /// one construction path every engine plan build funnels through.
+    /// Prepare a scheduled plan for this IR on an explicit backend.
     pub fn from_ir_on(backend: &dyn Backend<T>, ir: &PlanIr, config: KernelConfig) -> Result<Self> {
+        Self::scheduled_on(backend, ir, ir.recompose(), config)
+    }
+
+    /// Prepare a scheduled plan for `ir` that answers for `permutation`,
+    /// which the caller guarantees is exactly what `ir` realises — the
+    /// one construction path every scheduled plan funnels through.
+    fn scheduled_on(
+        backend: &dyn Backend<T>,
+        ir: &PlanIr,
+        permutation: Permutation,
+        config: KernelConfig,
+    ) -> Result<Self> {
         Ok(PermutePlan {
             route: Route::Scheduled,
             gamma: ir.gamma(),
             exec: backend.prepare(ExecPlan::Scheduled(ir), config)?,
-            permutation: ir.recompose(),
+            permutation,
         })
     }
 
@@ -1082,7 +1100,10 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             let (outcome, waited) = slot.wait();
             match outcome {
                 Ok(plan) => {
-                    if plan.permutation.as_slice() == p.as_slice() {
+                    // A pointer compare when the caller reuses the
+                    // permutation the plan adopted; the full compare
+                    // otherwise.
+                    if plan.permutation == *p {
                         let counter = if waited {
                             &self.core.stats.builds_deduped
                         } else {
@@ -1142,7 +1163,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             n: p.len(),
             armed: true,
         };
-        let built = self.construct_plan(p);
+        let built = self.construct_plan(p, key.fingerprint);
         guard.armed = false;
         match built {
             Ok(plan) => {
@@ -1165,17 +1186,21 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         }
     }
 
-    /// Produce the plan for `p` at this engine's width: the γ decision
-    /// first (scatter plans are cheap and never touch the store), then
-    /// the tier-2 store when attached, then the structured (BMMC) fast
-    /// path — a closed-form plan counted in
+    /// Produce the plan for `p` (keyed by `fingerprint`) at this engine's
+    /// width: the γ decision first (scatter plans are cheap and never
+    /// touch the store), then the tier-2 store when attached, then the
+    /// structured (BMMC) fast path — a closed-form plan counted in
     /// [`EngineStats::plans_structured`] — and only for genuinely
     /// unstructured permutations a fresh König build, counted in
     /// [`EngineStats::builds`]. Both kinds of built plan are saved back
     /// to the store. Every arm ends in a [`Backend::prepare`] on the
     /// engine's backend — the γ decision only picks the *route*, gated
     /// by what the backend can execute ([`Backend::capabilities`]).
-    fn construct_plan(&self, p: &Permutation) -> Result<PermutePlan<T>> {
+    ///
+    /// Every route's plan adopts the caller's `p` (a refcount bump, not
+    /// a copy) once the plan is known to realise exactly `p`, so a later
+    /// hit from a caller that reuses `p` verifies by pointer.
+    fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<PermutePlan<T>> {
         let backend = &*self.core.backend;
         let caps = backend.capabilities();
         let gamma = distribution(p, self.core.width);
@@ -1184,7 +1209,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         }
         if let Some(store) = &self.core.store {
             let key = StoreKey {
-                fingerprint: (self.core.fingerprint_fn)(p),
+                fingerprint,
                 n: p.len(),
                 width: self.core.width,
             };
@@ -1192,7 +1217,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 Ok(Some(ir)) if ir.matches(p) => {
                     self.core.stats.store_hits.fetch_add(1, Ordering::Relaxed);
                     self.note_affine(&ir);
-                    return PermutePlan::from_ir_on(backend, &ir, self.kernel_config());
+                    return PermutePlan::scheduled_on(
+                        backend,
+                        &ir,
+                        p.clone(),
+                        self.kernel_config(),
+                    );
                 }
                 Ok(None) => {}
                 // A decodable plan for a *different* permutation (a
@@ -1208,40 +1238,50 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 }
             }
         }
-        // Structured fast path: affine/BMMC permutations (transpose,
-        // bit-reversal, shuffle, hypercube, ...) get their pass
-        // permutations emitted in closed form — milliseconds where the
-        // coloring below takes seconds at 4M. Counted separately so the
-        // `builds` seam keeps meaning "König colorings actually
-        // performed".
-        if let Some(built) =
-            PlanIr::build_structured_par(p, self.core.width, crate::par::worker_threads())
-        {
-            let ir = built?;
-            self.core
-                .stats
-                .plans_structured
-                .fetch_add(1, Ordering::Relaxed);
-            self.note_affine(&ir);
-            if let Some(store) = &self.core.store {
-                // Saved like any built plan, so cross-process cold starts
-                // stay store-driven for every family.
-                let _ = store.save(&ir);
+        let threads = crate::par::worker_threads();
+        let ir = match PlanIr::build_structured_par(p, self.core.width, threads) {
+            // Structured fast path: affine/BMMC permutations (transpose,
+            // bit-reversal, shuffle, hypercube, ...) get their pass
+            // permutations emitted in closed form — milliseconds where
+            // the coloring below takes seconds at 4M. Counted separately
+            // so the `builds` seam keeps meaning "König colorings
+            // actually performed".
+            Some(built) => {
+                let ir = built?;
+                self.core
+                    .stats
+                    .plans_structured
+                    .fetch_add(1, Ordering::Relaxed);
+                self.note_affine(&ir);
+                ir
             }
-            return PermutePlan::from_ir_on(backend, &ir, self.kernel_config());
+            // Cold build: route through the parallel plan compiler on the
+            // engine's thread budget. Output is byte-identical to the
+            // sequential builder at any budget, so cached, stored, and
+            // freshly-built plans can never disagree. (Detection above
+            // already said no, so this is always a genuine coloring.)
+            None => {
+                let ir = PlanIr::build_par(p, self.core.width, threads)?;
+                self.core.stats.builds.fetch_add(1, Ordering::Relaxed);
+                ir
+            }
+        };
+        // A plan answers for exactly the permutation its IR realises, so
+        // `p` is adopted only once that is proven (an O(n) walk, paid
+        // once per build). A planner that built something else is a bug,
+        // surfaced as an error rather than as wrong output.
+        if !ir.matches(p) {
+            return Err(PlanError::Invalid {
+                reason: "built plan does not realise the requested permutation".into(),
+            });
         }
-        // Cold build: route through the parallel plan compiler on the
-        // engine's thread budget. Output is byte-identical to the
-        // sequential builder at any budget, so cached, stored, and
-        // freshly-built plans can never disagree. (Detection above
-        // already said no, so this is always a genuine coloring.)
-        let ir = PlanIr::build_par(p, self.core.width, crate::par::worker_threads())?;
-        self.core.stats.builds.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.core.store {
-            // Best effort: a failed save must never fail the permute.
+            // Saved like any built plan, so cross-process cold starts stay
+            // store-driven for every family. Best effort: a failed save
+            // must never fail the permute.
             let _ = store.save(&ir);
         }
-        PermutePlan::from_ir_on(backend, &ir, self.kernel_config())
+        PermutePlan::scheduled_on(backend, &ir, p.clone(), self.kernel_config())
     }
 
     /// Count a prepared IR that carries affine descriptors
@@ -1383,12 +1423,11 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             }
             return Ok(());
         }
-        let p = Arc::new(p.clone());
         let handles: Vec<JobHandle<T>> = jobs
             .into_iter()
             .map(|(src, dst)| {
                 self.submit_payload(
-                    Arc::clone(&p),
+                    p.clone(),
                     Payload::Borrowed {
                         src: src.as_ptr(),
                         dst: dst.as_mut_ptr(),
@@ -1550,7 +1589,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// ```
     pub fn submit(&self, p: &Permutation, src: impl Into<Arc<[T]>>, dst: Vec<T>) -> JobHandle<T> {
         self.submit_payload(
-            Arc::new(p.clone()),
+            p.clone(),
             Payload::Owned {
                 src: src.into(),
                 dst,
@@ -1570,16 +1609,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     where
         I: IntoIterator<Item = (Arc<[T]>, Vec<T>)>,
     {
-        let p = Arc::new(p.clone());
         BatchHandle::new(
             jobs.into_iter()
-                .map(|(src, dst)| self.submit_payload(Arc::clone(&p), Payload::Owned { src, dst }))
+                .map(|(src, dst)| self.submit_payload(p.clone(), Payload::Owned { src, dst }))
                 .collect(),
         )
     }
 
     /// Common submission path: count the job, validate sizes, enqueue.
-    fn submit_payload(&self, p: Arc<Permutation>, payload: Payload<T>) -> JobHandle<T> {
+    fn submit_payload(&self, p: Permutation, payload: Payload<T>) -> JobHandle<T> {
         let stats = &self.core.stats;
         let id = self.core.queue.next_job_id.fetch_add(1, Ordering::Relaxed);
         stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -2040,6 +2078,57 @@ mod tests {
         engine.permute(&p2, &src, &mut dst).unwrap();
         assert_eq!(engine.stats().hits, 1);
         assert_eq!(engine.cached_plans(), 1);
+    }
+
+    #[test]
+    fn plans_adopt_the_callers_permutation_on_every_route() {
+        let n = 1 << 12;
+        let dir = temp_store_dir("adopt");
+        let shares = |plan: &PermutePlan<u32>, p: &Permutation| {
+            plan.permutation().as_slice().as_ptr() == p.as_slice().as_ptr()
+        };
+        let engine: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+        let konig = families::random(n, 51);
+        let plan = engine.plan(&konig).unwrap();
+        assert_eq!(engine.stats().builds, 1);
+        assert!(shares(&plan, &konig), "König");
+        let structured = families::bit_reversal(n).unwrap();
+        let plan = engine.plan(&structured).unwrap();
+        assert_eq!(engine.stats().plans_structured, 1);
+        assert!(shares(&plan, &structured), "structured");
+        let scatter = families::identical(n);
+        let plan = engine.plan(&scatter).unwrap();
+        assert_eq!(plan.route(), Route::Scatter);
+        assert!(shares(&plan, &scatter), "scatter");
+
+        // A second engine loads the König plan from the store; a fresh
+        // allocation of the same permutation is adopted there too.
+        let reloaded = families::random(n, 51);
+        let cold: SharedEngine<u32> = SharedEngine::with_store(W, &dir).unwrap();
+        let plan = cold.plan(&reloaded).unwrap();
+        assert_eq!(cold.stats().store_hits, 1);
+        assert!(shares(&plan, &reloaded), "store hit");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn equal_permutation_in_other_storage_still_hits() {
+        let n = 1 << 12;
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
+        let p = families::random(n, 53);
+        let first = engine.plan(&p).unwrap();
+        // Same contents, separate allocation: no pointer match, so the hit
+        // is proven by the full compare.
+        let q = families::random(n, 53);
+        assert_ne!(p.as_slice().as_ptr(), q.as_slice().as_ptr());
+        let again = engine.plan(&q).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        let stats = engine.stats();
+        assert_eq!((stats.misses, stats.hits, stats.collisions), (1, 1, 0));
+        let src: Vec<u32> = (0..n as u32).collect();
+        let mut dst = vec![0u32; n];
+        engine.run_plan(&again, &src, &mut dst);
+        assert_eq!(dst, reference(&q, &src));
     }
 
     #[test]

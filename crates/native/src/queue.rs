@@ -244,8 +244,9 @@ impl<T> JobState<T> {
 /// One enqueued job: the permutation, the buffers, and the shared state
 /// its handle waits on.
 pub(crate) struct QueuedJob<T> {
-    /// The permutation to apply; shared so batches clone it once.
-    pub(crate) p: Arc<Permutation>,
+    /// The permutation to apply (a shared handle: cloning it per job
+    /// copies no map).
+    pub(crate) p: Permutation,
     /// The buffers.
     pub(crate) payload: Payload<T>,
     /// Completion state shared with the handle.
@@ -648,7 +649,7 @@ mod tests {
         let src: Arc<[u32]> = vec![0u32; 4].into();
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         let pushed = q.push(QueuedJob {
-            p: Arc::new(Permutation::identity(4)),
+            p: Permutation::identity(4),
             payload: Payload::Owned {
                 src,
                 dst: vec![0u32; 4],

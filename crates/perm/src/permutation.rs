@@ -9,14 +9,53 @@ use crate::error::{PermError, Result};
 use crate::matrix::Bmmc;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::{Arc, OnceLock};
 
 /// A validated permutation of `0..n` in destination convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Immutable and cheaply shared: the map lives behind one [`Arc`] together
+/// with its lazily computed [`fingerprint`](Permutation::fingerprint), so
+/// `clone` is a refcount bump, every clone shares the cached fingerprint,
+/// and `==` between clones is a pointer compare (distinct storage falls
+/// back to comparing the maps).
+#[derive(Clone)]
 pub struct Permutation {
+    inner: Arc<Shared>,
+}
+
+/// The storage every clone of one [`Permutation`] shares.
+struct Shared {
     map: Vec<usize>,
+    fingerprint: OnceLock<u64>,
+}
+
+impl PartialEq for Permutation {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner) || self.inner.map == other.inner.map
+    }
+}
+
+impl Eq for Permutation {}
+
+impl core::fmt::Debug for Permutation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Permutation")
+            .field("map", &self.inner.map)
+            .finish()
+    }
 }
 
 impl Permutation {
+    /// Wrap a map already known to be a bijection.
+    fn new(map: Vec<usize>) -> Self {
+        Permutation {
+            inner: Arc::new(Shared {
+                map,
+                fingerprint: OnceLock::new(),
+            }),
+        }
+    }
+
     /// Build from an explicit mapping, validating that it is a bijection.
     pub fn from_vec(map: Vec<usize>) -> Result<Self> {
         let n = map.len();
@@ -30,67 +69,65 @@ impl Permutation {
             }
             seen[dst] = true;
         }
-        Ok(Permutation { map })
+        Ok(Permutation::new(map))
     }
 
     /// Build without validation. The caller must guarantee bijectivity; the
     /// invariant is checked in debug builds.
     pub fn from_vec_unchecked(map: Vec<usize>) -> Self {
         debug_assert!(Self::from_vec(map.clone()).is_ok());
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// The identity permutation of size `n` ("identical" in the paper).
     pub fn identity(n: usize) -> Self {
-        Permutation {
-            map: (0..n).collect(),
-        }
+        Permutation::new((0..n).collect())
     }
 
     /// A uniformly random permutation of size `n`.
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let mut map: Vec<usize> = (0..n).collect();
         map.shuffle(rng);
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// Domain size `n`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.inner.map.len()
     }
 
     /// True for the (unique) permutation of the empty set.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.inner.map.is_empty()
     }
 
     /// Destination of source index `i`.
     #[inline]
     pub fn apply(&self, i: usize) -> usize {
-        self.map[i]
+        self.inner.map[i]
     }
 
     /// The raw destination map.
     #[inline]
     pub fn as_slice(&self) -> &[usize] {
-        &self.map
+        &self.inner.map
     }
 
     /// True if `P[i] == i` for all `i`.
     pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &d)| i == d)
+        self.as_slice().iter().enumerate().all(|(i, &d)| i == d)
     }
 
     /// The inverse permutation `P⁻¹` (the paper's `q`, used by the
     /// source-designated algorithm: `b[i] = a[P⁻¹[i]]`).
     pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0usize; self.map.len()];
-        for (i, &d) in self.map.iter().enumerate() {
+        let mut inv = vec![0usize; self.len()];
+        for (i, &d) in self.as_slice().iter().enumerate() {
             inv[d] = i;
         }
-        Permutation { map: inv }
+        Permutation::new(inv)
     }
 
     /// Composition `self ∘ other`: first move along `other`, then along
@@ -105,9 +142,8 @@ impl Permutation {
             other.len(),
             "composing permutations of different sizes"
         );
-        Permutation {
-            map: other.map.iter().map(|&mid| self.map[mid]).collect(),
-        }
+        let map = self.as_slice();
+        Permutation::new(other.as_slice().iter().map(|&mid| map[mid]).collect())
     }
 
     /// Move `src` into `dst` along the permutation: `dst[P[i]] = src[i]`.
@@ -124,8 +160,8 @@ impl Permutation {
                 got: dst.len(),
             });
         }
-        for (i, &v) in src.iter().enumerate() {
-            dst[self.map[i]] = v;
+        for (&d, &v) in self.as_slice().iter().zip(src) {
+            dst[d] = v;
         }
         Ok(())
     }
@@ -154,6 +190,7 @@ impl Permutation {
                 got: data.len(),
             });
         }
+        let map = self.as_slice();
         let mut visited = vec![false; self.len()];
         for start in 0..self.len() {
             if visited[start] {
@@ -163,11 +200,11 @@ impl Permutation {
             // Walk the cycle containing `start`: after `data.swap(start,
             // pos)`, slot `pos` holds its final value and slot `start`
             // carries the element still in flight.
-            let mut pos = self.map[start];
+            let mut pos = map[start];
             while pos != start {
                 data.swap(start, pos);
                 visited[pos] = true;
-                pos = self.map[pos];
+                pos = map[pos];
             }
         }
         Ok(())
@@ -188,7 +225,7 @@ impl Permutation {
             while !visited[i] {
                 visited[i] = true;
                 cycle.push(i);
-                i = self.map[i];
+                i = self.apply(i);
             }
             cycles.push(cycle);
         }
@@ -197,7 +234,7 @@ impl Permutation {
 
     /// Number of fixed points (`P[i] == i`).
     pub fn fixed_points(&self) -> usize {
-        self.map
+        self.as_slice()
             .iter()
             .enumerate()
             .filter(|&(i, &d)| i == d)
@@ -258,7 +295,8 @@ impl Permutation {
     /// True if `P² = identity` (every cycle has length 1 or 2) — e.g.
     /// bit-reversal and square transpose.
     pub fn is_involution(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &d)| self.map[d] == i)
+        let map = self.as_slice();
+        map.iter().enumerate().all(|(i, &d)| map[d] == i)
     }
 
     /// The `k`-th power `Pᵏ` (repeated application), computed by cycle
@@ -273,7 +311,7 @@ impl Permutation {
                 map[i] = cycle[(pos + shift) % cycle.len()];
             }
         }
-        Permutation { map }
+        Permutation::new(map)
     }
 
     /// A uniformly random **derangement** (no fixed points) of size
@@ -306,18 +344,19 @@ impl Permutation {
         if n == 0 || !n.is_power_of_two() {
             return None;
         }
+        let map = self.as_slice();
         let bits = n.trailing_zeros();
-        let offset = self.map[0];
-        let cols: Vec<usize> = (0..bits).map(|j| self.map[1usize << j] ^ offset).collect();
+        let offset = map[0];
+        let cols: Vec<usize> = (0..bits).map(|j| map[1usize << j] ^ offset).collect();
         // Verify the candidate over the full domain.
         let mut val = offset;
-        for i in 1..n {
+        for (i, &dest) in map.iter().enumerate().skip(1) {
             let mut changed = (i - 1) ^ i;
             while changed != 0 {
                 val ^= cols[changed.trailing_zeros() as usize];
                 changed &= changed - 1;
             }
-            if self.map[i] != val {
+            if dest != val {
                 return None;
             }
         }
@@ -355,19 +394,26 @@ impl Permutation {
     /// way. Two distinct permutations colliding on both fingerprint *and*
     /// length is a ~2⁻⁶⁴ event — and every consumer verifies the full
     /// image on use, so a collision costs a rebuild, never a wrong answer.
+    ///
+    /// The map is immutable, so the hash is computed once, on first call,
+    /// and cached in the shared storage: later calls on this permutation
+    /// or any clone of it are O(1). Threads racing on the first call may
+    /// each hash, and all get the same value.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for &d in &self.map {
-            let mut v = d as u64;
-            for _ in 0..8 {
-                h ^= v & 0xff;
-                h = h.wrapping_mul(PRIME);
-                v >>= 8;
+        *self.inner.fingerprint.get_or_init(|| {
+            const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+            const PRIME: u64 = 0x0000_0100_0000_01b3;
+            let mut h = OFFSET;
+            for &d in self.as_slice() {
+                let mut v = d as u64;
+                for _ in 0..8 {
+                    h ^= v & 0xff;
+                    h = h.wrapping_mul(PRIME);
+                    v >>= 8;
+                }
             }
-        }
-        h ^ (self.map.len() as u64).wrapping_mul(PRIME)
+            h ^ (self.len() as u64).wrapping_mul(PRIME)
+        })
     }
 }
 
@@ -603,6 +649,55 @@ mod tests {
             Permutation::identity(64).fingerprint(),
             Permutation::identity(128).fingerprint()
         );
+    }
+
+    #[test]
+    fn fingerprint_matches_golden_values() {
+        // Persisted keys (codec v2, `PlanStore` file names, the wire
+        // `REGISTER` claim) depend on these exact values.
+        use crate::families;
+        assert_eq!(
+            Permutation::identity(8).fingerprint(),
+            0xb009_9796_9b54_62bd
+        );
+        assert_eq!(
+            families::random(1024, 1).fingerprint(),
+            0xea05_ce4d_5b38_d991
+        );
+        assert_eq!(
+            families::bit_reversal(1024).unwrap().fingerprint(),
+            0x1fb3_ed26_b6b0_dc25
+        );
+    }
+
+    #[test]
+    fn clones_share_storage_and_cached_fingerprint() {
+        let p = Permutation::random(1 << 10, &mut StdRng::seed_from_u64(3));
+        let q = p.clone();
+        assert_eq!(p.as_slice().as_ptr(), q.as_slice().as_ptr());
+        assert!(q.inner.fingerprint.get().is_none());
+        let fp = p.fingerprint();
+        // Hashed once through `p`, cached for `q` too.
+        assert_eq!(q.inner.fingerprint.get(), Some(&fp));
+        assert_eq!(q.fingerprint(), fp);
+    }
+
+    #[test]
+    fn equality_compares_contents_across_storage() {
+        let p = Permutation::from_vec(vec![2, 0, 1, 3]).unwrap();
+        let same = Permutation::from_vec(vec![2, 0, 1, 3]).unwrap();
+        assert_ne!(p.as_slice().as_ptr(), same.as_slice().as_ptr());
+        assert_eq!(p, same);
+        assert_eq!(p, p.clone());
+        assert_ne!(p, Permutation::from_vec(vec![0, 2, 1, 3]).unwrap());
+        assert_ne!(p, Permutation::identity(5));
+    }
+
+    #[test]
+    fn debug_prints_only_the_map() {
+        let p = Permutation::from_vec(vec![1, 0]).unwrap();
+        p.fingerprint();
+        assert_eq!(format!("{p:?}"), "Permutation { map: [1, 0] }");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! gets two quotas checked before anything touches the engine:
 //!
 //! * **registered plans** — caps session cache footprint (every handle
-//!   pins an `Arc<Permutation>` and a cached plan slot);
+//!   pins a `Permutation` and a cached plan slot);
 //! * **in-flight jobs** — caps how much of the shared queue one request
 //!   may claim at once (a `PERMUTE_BATCH` of `k` payloads counts `k`).
 //!

@@ -328,7 +328,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 
 /// One registered plan in a session's private namespace.
 struct Registered {
-    perm: Arc<Permutation>,
+    perm: Permutation,
     elem_width: u8,
 }
 
@@ -535,23 +535,29 @@ fn register(
 
     // Warm the verified plan cache now, so the first PERMUTE is pure
     // execution and registration errors surface at registration time.
+    // The session keeps the plan's own permutation handle (equal to `p`,
+    // as the plan lookup just verified), so every later PERMUTE from any
+    // session registering this permutation re-resolves by pointer.
     let planned = match elem_width {
-        4 => shared.engine_u32.plan(&p).map(|_| ()),
-        _ => shared.engine_u64.plan(&p).map(|_| ()),
+        4 => shared
+            .engine_u32
+            .plan(&p)
+            .map(|plan| plan.permutation().clone()),
+        _ => shared
+            .engine_u64
+            .plan(&p)
+            .map(|plan| plan.permutation().clone()),
     };
-    if let Err(e) = planned {
-        return err(ErrCode::Plan, e.to_string());
-    }
+    let perm = match planned {
+        Ok(perm) => perm,
+        Err(e) => return err(ErrCode::Plan, e.to_string()),
+    };
 
     let handle = session.next_handle;
     session.next_handle += 1;
-    session.plans.insert(
-        handle,
-        Registered {
-            perm: Arc::new(p),
-            elem_width,
-        },
-    );
+    session
+        .plans
+        .insert(handle, Registered { perm, elem_width });
     shared.registered_plans.fetch_add(1, Ordering::Relaxed);
     (Frame::Registered { handle }, After::KeepOpen)
 }
@@ -618,11 +624,10 @@ fn permute(
         return err(e.code(), e.to_string());
     }
 
-    let perm = Arc::clone(&registered.perm);
     let outcome = if registered.elem_width == 4 {
-        run_jobs::<u32>(&shared.engine_u32, &perm, payloads)
+        run_jobs::<u32>(&shared.engine_u32, &registered.perm, payloads)
     } else {
-        run_jobs::<u64>(&shared.engine_u64, &perm, payloads)
+        run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads)
     };
     match outcome {
         Ok(mut outputs) => {

@@ -113,6 +113,44 @@ fn shared_engine_single_flight_under_max_contention() {
     assert_eq!(stats.collisions, 0);
 }
 
+/// Eight threads resolve clones of one fresh permutation at once: the
+/// first-call fingerprint races are benign (every thread sees the same
+/// value), everyone gets the one plan, and that plan shares the callers'
+/// storage.
+#[test]
+fn shared_engine_clones_of_one_fresh_permutation_resolve_one_plan() {
+    const THREADS: usize = 8;
+    let n = 1 << 13;
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
+    let p = families::random(n, 101);
+    let expect_fp = families::random(n, 101).fingerprint();
+    let barrier = Barrier::new(THREADS);
+    let plans: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (engine, barrier, mine) = (&engine, &barrier, p.clone());
+                s.spawn(move || {
+                    barrier.wait();
+                    let plan = engine.plan(&mine).unwrap();
+                    assert_eq!(mine.fingerprint(), expect_fp);
+                    plan
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(plans.iter().all(|plan| Arc::ptr_eq(plan, &plans[0])));
+    assert_eq!(
+        plans[0].permutation().as_slice().as_ptr(),
+        p.as_slice().as_ptr()
+    );
+    assert_eq!(p.fingerprint(), expect_fp);
+    let stats = engine.stats();
+    assert_eq!(stats.misses, 1);
+    assert_eq!(stats.hits + stats.builds_deduped, (THREADS - 1) as u64);
+    assert_eq!(stats.collisions, 0);
+}
+
 /// A forced fingerprint collision through the public test seam: the cache
 /// must detect the full-image mismatch, rebuild, return the *correct*
 /// output, and count exactly one collision.
