@@ -53,27 +53,107 @@ const KIND_COMPACT: u32 = 1;
 pub const MAGIC: [u8; 8] = *b"HMMPLAN\0";
 
 /// FNV-1a offset basis — the initial state [`fnv1a_update`] folds bytes
-/// into. Public alongside the helpers so incremental (streaming) hashers
-/// outside this crate start from the standard seed.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// into.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the codec's integrity checksum (the same
 /// hash family as the permutation fingerprint; collision-resistance
-/// against *accidents*, which is all a checksum promises). Public so the
-/// other wire formats in the workspace (the `hmm-server` TCP framing)
-/// seal their frames with the same hash instead of growing a second one.
+/// against *accidents*, which is all a checksum promises).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(FNV_OFFSET, bytes)
 }
 
 /// One incremental FNV-1a step, so streaming writers can hash on the fly.
-pub fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
+fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+const XXH_PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_PRIME_3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_PRIME_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_PRIME_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh64_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("an 8-byte lane"))
+}
+
+/// XXH64 with seed 0 — the published algorithm, std-only. The
+/// `hmm-server` wire checksum: four independent lanes take one 32-byte
+/// stripe per step, so it runs at memory bandwidth where byte-serial
+/// [`fnv1a`] runs one multiply per byte. Every step is a bijection of
+/// the state in its input word, so any single-word corruption changes
+/// the result.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut stripes = bytes.chunks_exact(32);
+    let mut h = if bytes.len() >= 32 {
+        // The four lane seeds for seed 0.
+        let mut v = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in &mut stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh64_round(*acc, le_u64(lane));
+            }
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = (h ^ xxh64_round(0, acc))
+                .wrapping_mul(XXH_PRIME_1)
+                .wrapping_add(XXH_PRIME_4);
+        }
+        h
+    } else {
+        XXH_PRIME_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        h ^= xxh64_round(0, le_u64(word));
+        h = h
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let half = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+        h ^= u64::from(half).wrapping_mul(XXH_PRIME_1);
+        h = h
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(XXH_PRIME_5);
+        h = h.rotate_left(11).wrapping_mul(XXH_PRIME_1);
+    }
+
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_PRIME_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_PRIME_3);
+    h ^ (h >> 32)
 }
 
 /// Serialised size in bytes of a **full** (kind 0) plan for `n` elements
@@ -391,6 +471,18 @@ mod tests {
         } else {
             encoded_len(ir.len())
         }
+    }
+
+    #[test]
+    fn xxh64_matches_the_published_known_answers() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        // 39 bytes: one 32-byte stripe, then the word, half-word and
+        // byte tails.
+        let long = b"Nobody inspects the spammish repetition";
+        assert_eq!(long.len(), 39);
+        assert_eq!(xxh64(long), 0xfbce_a83c_8a37_8bf1);
     }
 
     #[test]

@@ -31,9 +31,7 @@ pub mod ir;
 pub mod store;
 
 pub use affine::AffineStep;
-pub use codec::{
-    compact_encoded_len, decode, encode, encode_to, fnv1a, fnv1a_update, FNV_OFFSET, FORMAT_VERSION,
-};
+pub use codec::{compact_encoded_len, decode, encode, encode_to, fnv1a, xxh64, FORMAT_VERSION};
 pub use error::{PlanError, Result};
 pub use ir::{PassLayout, PlanIr};
 pub use store::{PlanStore, StoreEntry, StoreKey};

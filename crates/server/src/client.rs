@@ -13,9 +13,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 use hmm_perm::{Bmmc, Permutation};
 
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{read_verified, write_sealed};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
+    bytes_to_elems, kind, Elem, ErrCode, Frame, PayloadBody, PermRepr, ProtoError, ServerStats,
 };
 
 /// Client-side errors.
@@ -90,6 +90,8 @@ impl<T> PlanHandle<T> {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Frame buffer every reply is read into, reused across requests.
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -110,17 +112,27 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(reader_stream),
             writer: BufWriter::new(stream),
+            buf: Vec::new(),
         })
     }
 
-    /// One request/response round trip; `ERR` frames become
-    /// [`ClientError::Server`].
-    fn roundtrip(&mut self, request: &Frame) -> Result<Frame> {
-        write_frame(&mut self.writer, request)?;
-        match read_frame(&mut self.reader)? {
-            Frame::Err { code, message } => Err(ClientError::Server { code, message }),
-            reply => Ok(reply),
+    /// Send one sealed request and return the verified reply's kind and
+    /// body; an `ERR` reply becomes [`ClientError::Server`].
+    fn exchange(&mut self, request: &[u8]) -> Result<(u8, &[u8])> {
+        write_sealed(&mut self.writer, request)?;
+        let (kind, body) = read_verified(&mut self.reader, &mut self.buf)?;
+        if kind == kind::ERR {
+            if let Frame::Err { code, message } = Frame::decode_body(kind, body)? {
+                return Err(ClientError::Server { code, message });
+            }
         }
+        Ok((kind, body))
+    }
+
+    /// One request/response round trip of owned frames.
+    fn roundtrip(&mut self, request: &Frame) -> Result<Frame> {
+        let (kind, body) = self.exchange(&request.encode())?;
+        Ok(Frame::decode_body(kind, body)?)
     }
 
     /// Register an explicit permutation; the fingerprint claim is
@@ -170,18 +182,16 @@ impl Client {
 
     /// Apply a registered plan to one payload.
     pub fn permute<T: Elem>(&mut self, handle: &PlanHandle<T>, src: &[T]) -> Result<Vec<T>> {
-        let reply = self.roundtrip(&Frame::Permute {
+        let request = PayloadBody::Permute {
             handle: handle.id,
-            payload: elems_to_bytes(src),
-        })?;
-        match reply {
-            Frame::Permuted { payload } => bytes_to_elems(&payload).ok_or_else(|| {
-                ClientError::Proto(ProtoError::Malformed {
-                    reason: "permuted payload length not a multiple of width".into(),
-                })
-            }),
-            other => Err(ClientError::Unexpected {
-                got: other.kind_name(),
+            payload: src,
+        }
+        .seal();
+        let (kind, body) = self.exchange(&request)?;
+        match PayloadBody::parse(kind, body)? {
+            Some(PayloadBody::Permuted { payload }) => elems(payload),
+            _ => Err(ClientError::Unexpected {
+                got: kind::name(kind),
             }),
         }
     }
@@ -193,23 +203,18 @@ impl Client {
         handle: &PlanHandle<T>,
         srcs: &[Vec<T>],
     ) -> Result<Vec<Vec<T>>> {
-        let reply = self.roundtrip(&Frame::PermuteBatch {
+        let request = PayloadBody::PermuteBatch {
             handle: handle.id,
-            payloads: srcs.iter().map(|s| elems_to_bytes(s)).collect(),
-        })?;
-        match reply {
-            Frame::PermutedBatch { payloads } => payloads
-                .iter()
-                .map(|p| {
-                    bytes_to_elems(p).ok_or_else(|| {
-                        ClientError::Proto(ProtoError::Malformed {
-                            reason: "permuted payload length not a multiple of width".into(),
-                        })
-                    })
-                })
-                .collect(),
-            other => Err(ClientError::Unexpected {
-                got: other.kind_name(),
+            payloads: srcs.iter().map(Vec::as_slice).collect(),
+        }
+        .seal();
+        let (kind, body) = self.exchange(&request)?;
+        match PayloadBody::parse(kind, body)? {
+            Some(PayloadBody::PermutedBatch { payloads }) => {
+                payloads.into_iter().map(elems).collect()
+            }
+            _ => Err(ClientError::Unexpected {
+                got: kind::name(kind),
             }),
         }
     }
@@ -234,4 +239,13 @@ impl Client {
             }),
         }
     }
+}
+
+/// Convert one reply payload to elements.
+fn elems<T: Elem>(payload: &[u8]) -> Result<Vec<T>> {
+    bytes_to_elems(payload).ok_or_else(|| {
+        ClientError::Proto(ProtoError::Malformed {
+            reason: "permuted payload length not a multiple of width".into(),
+        })
+    })
 }

@@ -1,18 +1,21 @@
-//! Protocol v1: frame grammar, typed errors, and the std-only codec.
+//! Protocol v2: frame grammar, typed errors, and the std-only codec.
 //!
 //! Every message on the wire is one *frame*:
 //!
 //! ```text
 //! +--------+---------+------+--------------+--------+------------+
-//! | magic  | version | kind | body_len u32 | body   | fnv1a u64  |
+//! | magic  | version | kind | body_len u32 | body   | xxh64 u64  |
 //! | "HMMS" |   u8    |  u8  |  (LE)        | bytes  | (LE)       |
 //! +--------+---------+------+--------------+--------+------------+
 //! |<----------- checksummed region ----------->|
 //! ```
 //!
-//! The checksum is FNV-1a over everything before it (header + body),
-//! reusing the exact hash the `hmm-plan` codec uses for plan files, so
-//! one corruption model covers both the disk tier and the wire tier.
+//! The checksum is XXH64 (seed 0) over everything before it (header +
+//! body). Version 1 sealed frames with the byte-serial FNV-1a of the
+//! plan files; XXH64 checks the same bytes at memory bandwidth, and each
+//! of its steps is a bijection in its input word, so a single-word
+//! corruption is still always caught. [`crate::framing`] seals and
+//! verifies the envelope; this module owns the body grammar.
 //!
 //! Hostile-input posture, mirroring the plan codec:
 //!
@@ -27,13 +30,13 @@
 
 use std::fmt;
 
-use hmm_plan::fnv1a;
+use crate::framing::{open, seal};
 
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"HMMS";
 
 /// Protocol version this build speaks.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Fixed header length: magic + version + kind + body length.
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 4;
@@ -78,6 +81,24 @@ pub mod kind {
     pub const DRAIN_OK: u8 = 10;
     /// `ERR` response.
     pub const ERR: u8 = 15;
+
+    /// Short name of a kind byte, for diagnostics.
+    pub(crate) fn name(kind: u8) -> &'static str {
+        match kind {
+            REGISTER => "REGISTER",
+            REGISTERED => "REGISTERED",
+            PERMUTE => "PERMUTE",
+            PERMUTED => "PERMUTED",
+            PERMUTE_BATCH => "PERMUTE_BATCH",
+            PERMUTED_BATCH => "PERMUTED_BATCH",
+            STATS => "STATS",
+            STATS_REPORT => "STATS_REPORT",
+            DRAIN => "DRAIN",
+            DRAIN_OK => "DRAIN_OK",
+            ERR => "ERR",
+            _ => "unknown",
+        }
+    }
 }
 
 /// Typed error codes carried by [`Frame::Err`]. The server never answers
@@ -256,38 +277,37 @@ impl std::error::Error for ProtoError {}
 pub trait Elem: Copy + Send + Sync + Default + PartialEq + fmt::Debug + 'static {
     /// Wire width in bytes.
     const WIDTH: usize;
-    /// Append this element's little-endian bytes.
-    fn write_le(self, out: &mut Vec<u8>);
+    /// Append the little-endian bytes of every element of `src` to `out`
+    /// in one bulk pass.
+    fn extend_le(out: &mut Vec<u8>, src: &[Self]);
     /// Read one element from exactly `WIDTH` bytes.
     fn read_le(bytes: &[u8]) -> Self;
 }
 
-impl Elem for u32 {
-    const WIDTH: usize = 4;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        u32::from_le_bytes(bytes[..4].try_into().unwrap())
-    }
+macro_rules! impl_elem {
+    ($($t:ty),*) => {$(
+        impl Elem for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn extend_le(out: &mut Vec<u8>, src: &[Self]) {
+                let start = out.len();
+                out.resize(start + src.len() * Self::WIDTH, 0);
+                for (chunk, v) in out[start..].chunks_exact_mut(Self::WIDTH).zip(src) {
+                    chunk.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            fn read_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes[..Self::WIDTH].try_into().expect("WIDTH bytes"))
+            }
+        }
+    )*};
 }
 
-impl Elem for u64 {
-    const WIDTH: usize = 8;
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn read_le(bytes: &[u8]) -> Self {
-        u64::from_le_bytes(bytes[..8].try_into().unwrap())
-    }
-}
+impl_elem!(u32, u64);
 
 /// Serialize a typed payload to its wire bytes (little-endian).
 pub fn elems_to_bytes<T: Elem>(src: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(src.len() * T::WIDTH);
-    for &v in src {
-        v.write_le(&mut out);
-    }
+    T::extend_le(&mut out, src);
     out
 }
 
@@ -359,7 +379,7 @@ pub struct ServerStats {
     pub draining: bool,
 }
 
-/// Number of `u64` counter fields in a v1 `STATS_REPORT` body.
+/// Number of `u64` counter fields in a `STATS_REPORT` body.
 const STATS_FIELDS: u8 = 16;
 
 /// One protocol message. `encode` and `decode` are exact inverses for
@@ -519,38 +539,12 @@ impl Frame {
 
     /// Short name for diagnostics.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            Frame::Register { .. } => "REGISTER",
-            Frame::Registered { .. } => "REGISTERED",
-            Frame::Permute { .. } => "PERMUTE",
-            Frame::Permuted { .. } => "PERMUTED",
-            Frame::PermuteBatch { .. } => "PERMUTE_BATCH",
-            Frame::PermutedBatch { .. } => "PERMUTED_BATCH",
-            Frame::Stats => "STATS",
-            Frame::StatsReport(_) => "STATS_REPORT",
-            Frame::Drain => "DRAIN",
-            Frame::DrainOk => "DRAIN_OK",
-            Frame::Err { .. } => "ERR",
-        }
+        kind::name(self.kind())
     }
 
     /// Encode the complete frame: header, body, trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        debug_assert!(body.len() <= MAX_BODY, "encoder produced oversized body");
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(PROTOCOL_VERSION);
-        out.push(self.kind());
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
-        let sum = fnv1a(&out);
-        put_u64(&mut out, sum);
-        out
-    }
-
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let k = self.kind();
         match self {
             Frame::Register {
                 fingerprint,
@@ -558,132 +552,97 @@ impl Frame {
                 elem_width,
                 perm,
             } => {
-                put_u64(&mut out, *fingerprint);
-                put_u64(&mut out, *n);
-                out.push(*elem_width);
-                match perm {
-                    PermRepr::Index(map) => {
-                        out.push(0);
-                        for &v in map {
-                            put_u32(&mut out, v);
+                let perm_len = match perm {
+                    PermRepr::Index(map) => 4 * map.len(),
+                    PermRepr::Bmmc { cols, .. } => 9 + 8 * cols.len(),
+                };
+                seal(k, 18 + perm_len, |out| {
+                    put_u64(out, *fingerprint);
+                    put_u64(out, *n);
+                    out.push(*elem_width);
+                    match perm {
+                        PermRepr::Index(map) => {
+                            out.push(0);
+                            u32::extend_le(out, map);
+                        }
+                        PermRepr::Bmmc { bits, offset, cols } => {
+                            out.push(1);
+                            out.push(*bits);
+                            put_u64(out, *offset);
+                            u64::extend_le(out, cols);
                         }
                     }
-                    PermRepr::Bmmc { bits, offset, cols } => {
-                        out.push(1);
-                        out.push(*bits);
-                        put_u64(&mut out, *offset);
-                        for &c in cols {
-                            put_u64(&mut out, c);
-                        }
-                    }
-                }
+                })
             }
-            Frame::Registered { handle } => put_u64(&mut out, *handle),
-            Frame::Permute { handle, payload } => {
-                put_u64(&mut out, *handle);
-                out.extend_from_slice(payload);
+            Frame::Registered { handle } => seal(k, 8, |out| put_u64(out, *handle)),
+            Frame::Permute { handle, payload } => PayloadBody::Permute {
+                handle: *handle,
+                payload,
             }
-            Frame::Permuted { payload } => out.extend_from_slice(payload),
-            Frame::PermuteBatch { handle, payloads } => {
-                put_u64(&mut out, *handle);
-                put_u32(&mut out, payloads.len() as u32);
-                for p in payloads {
-                    put_u32(&mut out, p.len() as u32);
-                    out.extend_from_slice(p);
-                }
+            .seal_with(Vec::extend_from_slice),
+            Frame::Permuted { payload } => {
+                PayloadBody::Permuted { payload }.seal_with(Vec::extend_from_slice)
             }
-            Frame::PermutedBatch { payloads } => {
-                put_u32(&mut out, payloads.len() as u32);
-                for p in payloads {
-                    put_u32(&mut out, p.len() as u32);
-                    out.extend_from_slice(p);
-                }
+            Frame::PermuteBatch { handle, payloads } => PayloadBody::PermuteBatch {
+                handle: *handle,
+                payloads: payloads.iter().map(Vec::as_slice).collect(),
             }
-            Frame::Stats | Frame::Drain | Frame::DrainOk => {}
-            Frame::StatsReport(s) => {
+            .seal_with(Vec::extend_from_slice),
+            Frame::PermutedBatch { payloads } => PayloadBody::PermutedBatch {
+                payloads: payloads.iter().map(Vec::as_slice).collect(),
+            }
+            .seal_with(Vec::extend_from_slice),
+            Frame::Stats | Frame::Drain | Frame::DrainOk => seal(k, 0, |_| {}),
+            Frame::StatsReport(s) => seal(k, 1 + 8 * usize::from(STATS_FIELDS), |out| {
                 out.push(STATS_FIELDS);
-                for v in [
-                    s.hits,
-                    s.misses,
-                    s.builds,
-                    s.plans_structured,
-                    s.plans_affine,
-                    s.store_hits,
-                    s.store_rejects,
-                    s.submitted,
-                    s.completed,
-                    s.cancelled,
-                    s.admission_rejects,
-                    s.idle_disconnects,
-                    s.conn_rejects,
-                    s.registered_plans,
-                    s.active_clients,
-                    u64::from(s.draining),
-                ] {
-                    put_u64(&mut out, v);
-                }
-            }
+                u64::extend_le(
+                    out,
+                    &[
+                        s.hits,
+                        s.misses,
+                        s.builds,
+                        s.plans_structured,
+                        s.plans_affine,
+                        s.store_hits,
+                        s.store_rejects,
+                        s.submitted,
+                        s.completed,
+                        s.cancelled,
+                        s.admission_rejects,
+                        s.idle_disconnects,
+                        s.conn_rejects,
+                        s.registered_plans,
+                        s.active_clients,
+                        u64::from(s.draining),
+                    ],
+                );
+            }),
             Frame::Err { code, message } => {
-                out.extend_from_slice(&(*code as u16).to_le_bytes());
-                let msg = message.as_bytes();
-                let take = msg.len().min(MAX_ERR_MSG);
-                put_u32(&mut out, take as u32);
-                out.extend_from_slice(&msg[..take]);
+                let msg = &message.as_bytes()[..message.len().min(MAX_ERR_MSG)];
+                seal(k, 6 + msg.len(), |out| {
+                    out.extend_from_slice(&(*code as u16).to_le_bytes());
+                    put_u32(out, msg.len() as u32);
+                    out.extend_from_slice(msg);
+                })
             }
         }
-        out
     }
 
     /// Decode a complete frame from a contiguous buffer (header, body,
-    /// checksum). The streaming path ([`read_frame`]) performs the same
-    /// checks incrementally; this entry exists for tests and in-memory
-    /// use.
+    /// checksum). The streaming path ([`read_frame`]) makes the same
+    /// checks; this entry exists for tests and in-memory use.
     ///
     /// [`read_frame`]: crate::framing::read_frame
     pub fn decode(bytes: &[u8]) -> Result<Frame, ProtoError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(ProtoError::Truncated { what: "header" });
-        }
-        if bytes[..4] != MAGIC {
-            return Err(ProtoError::BadMagic);
-        }
-        if bytes[4] != PROTOCOL_VERSION {
-            return Err(ProtoError::BadVersion { got: bytes[4] });
-        }
-        let kind = bytes[5];
-        let body_len = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
-        if body_len > MAX_BODY {
-            return Err(ProtoError::Oversized {
-                len: body_len as u64,
-                max: MAX_BODY as u64,
-            });
-        }
-        let total = HEADER_LEN + body_len + CHECKSUM_LEN;
-        if bytes.len() < total {
-            return Err(ProtoError::Truncated {
-                what: if bytes.len() < HEADER_LEN + body_len {
-                    "body"
-                } else {
-                    "checksum"
-                },
-            });
-        }
-        if bytes.len() > total {
-            return Err(ProtoError::TrailingBytes {
-                extra: bytes.len() - total,
-            });
-        }
-        let sum_at = HEADER_LEN + body_len;
-        let stored = u64::from_le_bytes(bytes[sum_at..].try_into().unwrap());
-        let computed = fnv1a(&bytes[..sum_at]);
-        if stored != computed {
-            return Err(ProtoError::ChecksumMismatch { stored, computed });
-        }
-        Frame::decode_body(kind, &bytes[HEADER_LEN..sum_at])
+        let (kind, body) = open(bytes)?;
+        Frame::decode_body(kind, body)
     }
 
     /// Decode a frame body whose header (and checksum) already passed.
     pub fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, ProtoError> {
+        if let Some(payloads) = PayloadBody::parse(kind, body)? {
+            return Ok(payloads.to_frame());
+        }
         let mut r = Reader::new(body);
         let frame = match kind {
             kind::REGISTER => {
@@ -703,12 +662,7 @@ impl Frame {
                                 "index map has {count} entries, header claims n={n}"
                             )));
                         }
-                        PermRepr::Index(
-                            entries
-                                .chunks_exact(4)
-                                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                                .collect(),
-                        )
+                        PermRepr::Index(entries.chunks_exact(4).map(u32::read_le).collect())
                     }
                     1 => {
                         let bits = r.u8("bmmc bits")?;
@@ -743,30 +697,12 @@ impl Frame {
             kind::REGISTERED => Frame::Registered {
                 handle: r.u64("registered handle")?,
             },
-            kind::PERMUTE => {
-                let handle = r.u64("permute handle")?;
-                Frame::Permute {
-                    handle,
-                    payload: r.rest().to_vec(),
-                }
-            }
-            kind::PERMUTED => Frame::Permuted {
-                payload: r.rest().to_vec(),
-            },
-            kind::PERMUTE_BATCH => {
-                let handle = r.u64("batch handle")?;
-                let payloads = decode_payload_list(&mut r)?;
-                Frame::PermuteBatch { handle, payloads }
-            }
-            kind::PERMUTED_BATCH => Frame::PermutedBatch {
-                payloads: decode_payload_list(&mut r)?,
-            },
             kind::STATS => Frame::Stats,
             kind::STATS_REPORT => {
                 let fields = r.u8("stats field count")?;
                 if fields != STATS_FIELDS {
                     return Err(malformed(format!(
-                        "stats report carries {fields} fields, v1 defines {STATS_FIELDS}"
+                        "stats report carries {fields} fields, the protocol defines {STATS_FIELDS}"
                     )));
                 }
                 let mut v = [0u64; STATS_FIELDS as usize];
@@ -816,10 +752,145 @@ impl Frame {
     }
 }
 
+/// The body of one of the four payload-carrying frames, its payloads
+/// borrowed: from the verified frame buffer when parsed
+/// ([`PayloadBody::parse`]), from the caller's typed slices when sealed
+/// ([`PayloadBody::seal`]). The client and server hot paths use it in
+/// place of [`Frame`], so each side converts a payload once instead of
+/// copying it into and out of an owned frame.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PayloadBody<'a, T = u8> {
+    /// `PERMUTE`: `handle u64`, then the payload to the end of the body.
+    Permute {
+        /// Handle from [`Frame::Registered`].
+        handle: u64,
+        /// `n` elements.
+        payload: &'a [T],
+    },
+    /// `PERMUTED`: the payload is the whole body.
+    Permuted {
+        /// The permuted payload.
+        payload: &'a [T],
+    },
+    /// `PERMUTE_BATCH`: `handle u64`, `count u32`, then
+    /// `count × (len u32, bytes)`.
+    PermuteBatch {
+        /// Handle from [`Frame::Registered`].
+        handle: u64,
+        /// The payloads, each `n` elements.
+        payloads: Vec<&'a [T]>,
+    },
+    /// `PERMUTED_BATCH`: `count u32`, then `count × (len u32, bytes)`.
+    PermutedBatch {
+        /// The permuted payloads, in request order.
+        payloads: Vec<&'a [T]>,
+    },
+}
+
+impl<T> PayloadBody<'_, T> {
+    fn kind(&self) -> u8 {
+        match self {
+            PayloadBody::Permute { .. } => kind::PERMUTE,
+            PayloadBody::Permuted { .. } => kind::PERMUTED,
+            PayloadBody::PermuteBatch { .. } => kind::PERMUTE_BATCH,
+            PayloadBody::PermutedBatch { .. } => kind::PERMUTED_BATCH,
+        }
+    }
+
+    /// Seal this body, `put` appending one payload's bytes: the one
+    /// writer of the four payload grammars, for raw and typed payloads.
+    fn seal_with(&self, put: impl Fn(&mut Vec<u8>, &[T])) -> Vec<u8> {
+        let (handle, payloads, batch) = match self {
+            PayloadBody::Permute { handle, payload } => {
+                (Some(*handle), std::slice::from_ref(payload), false)
+            }
+            PayloadBody::Permuted { payload } => (None, std::slice::from_ref(payload), false),
+            PayloadBody::PermuteBatch { handle, payloads } => (Some(*handle), &payloads[..], true),
+            PayloadBody::PermutedBatch { payloads } => (None, &payloads[..], true),
+        };
+        // A payload's wire length is its size in memory: raw bytes, or
+        // `Elem::WIDTH` bytes per typed element.
+        let handle_len = if handle.is_some() { 8 } else { 0 };
+        let count_len = if batch { 4 + 4 * payloads.len() } else { 0 };
+        let data_len: usize = payloads.iter().map(|p| std::mem::size_of_val(*p)).sum();
+        seal(self.kind(), handle_len + count_len + data_len, |out| {
+            if let Some(handle) = handle {
+                put_u64(out, handle);
+            }
+            if batch {
+                put_u32(out, payloads.len() as u32);
+            }
+            for p in payloads {
+                if batch {
+                    put_u32(out, std::mem::size_of_val(*p) as u32);
+                }
+                put(out, p);
+            }
+        })
+    }
+}
+
+impl<T: Elem> PayloadBody<'_, T> {
+    /// Seal the frame straight from typed slices, converting each element
+    /// once, into the frame buffer. Byte-identical to [`Frame::encode`] of
+    /// the equivalent owned frame.
+    pub fn seal(&self) -> Vec<u8> {
+        self.seal_with(T::extend_le)
+    }
+}
+
+impl<'a> PayloadBody<'a> {
+    /// Parse a verified body of kind `PERMUTE`, `PERMUTED`,
+    /// `PERMUTE_BATCH` or `PERMUTED_BATCH` into slices of `body`; `None`
+    /// for every other kind. The one parser of these grammars —
+    /// [`Frame::decode_body`] goes through it too.
+    pub fn parse(kind: u8, body: &'a [u8]) -> Result<Option<Self>, ProtoError> {
+        let mut r = Reader::new(body);
+        let parsed = match kind {
+            kind::PERMUTE => PayloadBody::Permute {
+                handle: r.u64("permute handle")?,
+                payload: r.rest(),
+            },
+            kind::PERMUTED => PayloadBody::Permuted { payload: r.rest() },
+            kind::PERMUTE_BATCH => PayloadBody::PermuteBatch {
+                handle: r.u64("batch handle")?,
+                payloads: payload_list(&mut r)?,
+            },
+            kind::PERMUTED_BATCH => PayloadBody::PermutedBatch {
+                payloads: payload_list(&mut r)?,
+            },
+            _ => return Ok(None),
+        };
+        r.finish()?;
+        Ok(Some(parsed))
+    }
+
+    /// The equivalent owned frame.
+    fn to_frame(&self) -> Frame {
+        let owned = |payloads: &[&[u8]]| payloads.iter().map(|p| p.to_vec()).collect();
+        match self {
+            PayloadBody::Permute { handle, payload } => Frame::Permute {
+                handle: *handle,
+                payload: payload.to_vec(),
+            },
+            PayloadBody::Permuted { payload } => Frame::Permuted {
+                payload: payload.to_vec(),
+            },
+            PayloadBody::PermuteBatch { handle, payloads } => Frame::PermuteBatch {
+                handle: *handle,
+                payloads: owned(payloads),
+            },
+            PayloadBody::PermutedBatch { payloads } => Frame::PermutedBatch {
+                payloads: owned(payloads),
+            },
+        }
+    }
+}
+
 /// Shared grammar of `PERMUTE_BATCH` / `PERMUTED_BATCH` bodies:
 /// `count u32`, then `count × (len u32, bytes)`. The count cap plus the
 /// already-capped body length bound total allocation.
-fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
+fn payload_list<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a [u8]>, ProtoError> {
     let count = r.u32("batch count")? as usize;
     if count > MAX_BATCH {
         return Err(ProtoError::Oversized {
@@ -830,7 +901,7 @@ fn decode_payload_list(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, ProtoError> {
     let mut payloads = Vec::with_capacity(count);
     for _ in 0..count {
         let len = r.u32("batch payload length")? as usize;
-        payloads.push(r.take(len, "batch payload")?.to_vec());
+        payloads.push(r.take(len, "batch payload")?);
     }
     Ok(payloads)
 }

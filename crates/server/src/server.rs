@@ -40,10 +40,9 @@ use hmm_native::{JobError, SharedEngine};
 use hmm_perm::{Bmmc, Permutation};
 
 use crate::admission::AdmissionConfig;
-use crate::framing::{read_frame, write_frame};
+use crate::framing::{read_verified, write_frame, write_sealed};
 use crate::proto::{
-    bytes_to_elems, elems_to_bytes, Elem, ErrCode, Frame, PermRepr, ProtoError, ServerStats,
-    MAX_BMMC_BITS,
+    Elem, ErrCode, Frame, PayloadBody, PermRepr, ProtoError, ServerStats, MAX_BMMC_BITS,
 };
 
 /// Server construction / runtime errors.
@@ -343,7 +342,9 @@ struct Session {
 /// What the dispatcher decided to do with the connection after a reply.
 enum After {
     KeepOpen,
-    Close,
+    /// The request was `DRAIN`: flush both queues before the reply goes
+    /// out, then close.
+    Drain,
 }
 
 fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
@@ -352,7 +353,7 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
         next_handle: 1,
     };
     // The read timeout is a socket-level option, shared with the clone
-    // below; a tripped timeout surfaces from `read_frame` as an I/O
+    // below; a tripped timeout surfaces from `read_verified` as an I/O
     // error with `WouldBlock`/`TimedOut` (platform-dependent which).
     if let Some(t) = shared.idle_timeout {
         let _ = stream.set_read_timeout(Some(t));
@@ -366,10 +367,12 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
+    // Every request is read into this one buffer.
+    let mut buf = Vec::new();
 
     loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
+        let (kind, body) = match read_verified(&mut reader, &mut buf) {
+            Ok(frame) => frame,
             // The idle reap: no complete frame arrived within the
             // timeout. Diagnose with a typed ERR (best effort), count
             // it, and release the handler thread.
@@ -395,14 +398,10 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
             // frames are fully read before dispatch — so there is no
             // queue slot to reap; just release the session.
             Err(ProtoError::Closed) | Err(ProtoError::Io { .. }) => break,
-            // Stream-level corruption: the byte stream can no longer be
-            // trusted to be frame-aligned. Diagnose, then close.
-            Err(
-                e @ (ProtoError::BadMagic
-                | ProtoError::BadVersion { .. }
-                | ProtoError::ChecksumMismatch { .. }
-                | ProtoError::Oversized { .. }),
-            ) => {
+            // Stream-level corruption (bad magic, version, checksum or
+            // length): the byte stream can no longer be trusted to be
+            // frame-aligned. Diagnose, then close.
+            Err(e) => {
                 let _ = write_frame(
                     &mut writer,
                     &Frame::Err {
@@ -412,39 +411,19 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
                 );
                 break;
             }
-            // Body-level violation: the frame was fully consumed, the
-            // stream is still aligned — diagnose and keep serving.
-            Err(e) => {
-                if write_frame(
-                    &mut writer,
-                    &Frame::Err {
-                        code: ErrCode::Malformed,
-                        message: e.to_string(),
-                    },
-                )
-                .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
         };
 
-        // DRAIN is special-cased so the `DRAIN_OK` is flushed to the
-        // socket *before* `wait_drained` waiters (e.g. the `serve`
-        // binary's main thread) can exit the process.
-        if matches!(frame, Frame::Drain) {
+        let (reply, after) = respond(&shared, &mut session, kind, body);
+        if matches!(after, After::Drain) {
+            // `DRAIN_OK` goes to the socket after the flush but *before*
+            // `wait_drained` waiters (e.g. the `serve` binary's main
+            // thread) can exit the process.
             shared.flush_for_drain();
-            let _ = write_frame(&mut writer, &Frame::DrainOk);
+            let _ = write_sealed(&mut writer, &reply);
             shared.mark_drained();
             break;
         }
-
-        let (reply, after) = respond(&shared, &mut session, frame);
-        if write_frame(&mut writer, &reply).is_err() {
-            break;
-        }
-        if matches!(after, After::Close) {
+        if write_sealed(&mut writer, &reply).is_err() {
             break;
         }
     }
@@ -455,37 +434,47 @@ fn session_loop(shared: Arc<Shared>, stream: TcpStream) {
     shared.active_clients.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn err(code: ErrCode, message: impl Into<String>) -> (Frame, After) {
+fn err(code: ErrCode, message: impl Into<String>) -> (Vec<u8>, After) {
     (
         Frame::Err {
             code,
             message: message.into(),
-        },
+        }
+        .encode(),
         After::KeepOpen,
     )
 }
 
-fn respond(shared: &Shared, session: &mut Session, frame: Frame) -> (Frame, After) {
+/// Serve one verified request frame; returns the sealed reply. The
+/// payload kinds run straight from their borrowed body slices; every
+/// other kind dispatches through [`Frame`]. A body that violates the
+/// grammar leaves the stream frame-aligned, so it is diagnosed and the
+/// connection keeps serving.
+fn respond(shared: &Shared, session: &mut Session, kind: u8, body: &[u8]) -> (Vec<u8>, After) {
+    let frame = match PayloadBody::parse(kind, body) {
+        Ok(Some(PayloadBody::Permute { handle, payload })) => {
+            return permute(shared, session, handle, &[payload], false)
+        }
+        Ok(Some(PayloadBody::PermuteBatch { handle, payloads })) => {
+            return permute(shared, session, handle, &payloads, true)
+        }
+        Ok(Some(_)) | Ok(None) => Frame::decode_body(kind, body),
+        Err(e) => Err(e),
+    };
     match frame {
-        Frame::Register {
+        Ok(Frame::Register {
             fingerprint,
             n,
             elem_width,
             perm,
-        } => register(shared, session, fingerprint, n, elem_width, perm),
-        Frame::Permute { handle, payload } => {
-            permute(shared, session, handle, vec![payload], false)
-        }
-        Frame::PermuteBatch { handle, payloads } => {
-            permute(shared, session, handle, payloads, true)
-        }
-        Frame::Stats => (Frame::StatsReport(shared.stats()), After::KeepOpen),
-        // Handled in `session_loop` (reply-ordering constraint).
-        Frame::Drain => (Frame::DrainOk, After::Close),
-        other => err(
+        }) => register(shared, session, fingerprint, n, elem_width, perm),
+        Ok(Frame::Stats) => (Frame::StatsReport(shared.stats()).encode(), After::KeepOpen),
+        Ok(Frame::Drain) => (Frame::DrainOk.encode(), After::Drain),
+        Ok(other) => err(
             ErrCode::Malformed,
             format!("unexpected {} frame from client", other.kind_name()),
         ),
+        Err(e) => err(ErrCode::Malformed, e.to_string()),
     }
 }
 
@@ -496,7 +485,7 @@ fn register(
     n: u64,
     elem_width: u8,
     perm: PermRepr,
-) -> (Frame, After) {
+) -> (Vec<u8>, After) {
     if shared.draining.load(Ordering::SeqCst) {
         return err(ErrCode::Draining, "server is draining");
     }
@@ -559,7 +548,7 @@ fn register(
         .plans
         .insert(handle, Registered { perm, elem_width });
     shared.registered_plans.fetch_add(1, Ordering::Relaxed);
-    (Frame::Registered { handle }, After::KeepOpen)
+    (Frame::Registered { handle }.encode(), After::KeepOpen)
 }
 
 fn build_permutation(n: u64, perm: PermRepr) -> Result<Permutation, (ErrCode, String)> {
@@ -600,9 +589,9 @@ fn permute(
     shared: &Shared,
     session: &mut Session,
     handle: u64,
-    payloads: Vec<Vec<u8>>,
+    payloads: &[&[u8]],
     batch: bool,
-) -> (Frame, After) {
+) -> (Vec<u8>, After) {
     if shared.draining.load(Ordering::SeqCst) {
         return err(ErrCode::Draining, "server is draining");
     }
@@ -625,23 +614,12 @@ fn permute(
     }
 
     let outcome = if registered.elem_width == 4 {
-        run_jobs::<u32>(&shared.engine_u32, &registered.perm, payloads)
+        run_jobs::<u32>(&shared.engine_u32, &registered.perm, payloads, batch)
     } else {
-        run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads)
+        run_jobs::<u64>(&shared.engine_u64, &registered.perm, payloads, batch)
     };
     match outcome {
-        Ok(mut outputs) => {
-            if batch {
-                (Frame::PermutedBatch { payloads: outputs }, After::KeepOpen)
-            } else {
-                (
-                    Frame::Permuted {
-                        payload: outputs.pop().unwrap_or_default(),
-                    },
-                    After::KeepOpen,
-                )
-            }
-        }
+        Ok(reply) => (reply, After::KeepOpen),
         Err((code, msg)) => err(code, msg),
     }
 }
@@ -650,17 +628,18 @@ fn job_err(e: JobError) -> (ErrCode, String) {
     (ErrCode::Plan, format!("job failed: {e}"))
 }
 
-/// Decode payloads, route them through the engine's submission queue,
-/// and re-encode the outputs. The queue path — not a direct `permute`
+/// Convert each payload once into the engine's shared input, route the
+/// jobs through the engine's submission queue, and seal the reply
+/// straight from the outputs. The queue path — not a direct `permute`
 /// call — so network tenants share backpressure, stats, and panic
 /// isolation with every in-process submitter.
 fn run_jobs<T: Elem>(
     engine: &SharedEngine<T>,
     perm: &Permutation,
-    payloads: Vec<Vec<u8>>,
-) -> Result<Vec<Vec<u8>>, (ErrCode, String)> {
+    payloads: &[&[u8]],
+    batch: bool,
+) -> Result<Vec<u8>, (ErrCode, String)> {
     let n = perm.len();
-    let mut srcs: Vec<Vec<T>> = Vec::with_capacity(payloads.len());
     for (i, bytes) in payloads.iter().enumerate() {
         if bytes.len() != n * T::WIDTH {
             return Err((
@@ -674,26 +653,37 @@ fn run_jobs<T: Elem>(
                 ),
             ));
         }
-        srcs.push(bytes_to_elems::<T>(bytes).expect("length checked above"));
     }
+    let src = |bytes: &[u8]| -> Arc<[T]> { bytes.chunks_exact(T::WIDTH).map(T::read_le).collect() };
 
-    if srcs.len() == 1 {
-        let src = srcs.pop().expect("len == 1");
+    if let [bytes] = payloads {
         let report = engine
-            .submit(perm, src, vec![T::default(); n])
+            .submit(perm, src(bytes), vec![T::default(); n])
             .wait()
             .map_err(job_err)?;
-        return Ok(vec![elems_to_bytes(&report.dst)]);
+        let payload = report.dst.as_slice();
+        return Ok(if batch {
+            PayloadBody::PermutedBatch {
+                payloads: vec![payload],
+            }
+            .seal()
+        } else {
+            PayloadBody::Permuted { payload }.seal()
+        });
     }
 
-    let jobs: Vec<(Arc<[T]>, Vec<T>)> = srcs
-        .into_iter()
-        .map(|s| (Arc::from(s), vec![T::default(); n]))
+    let jobs: Vec<(Arc<[T]>, Vec<T>)> = payloads
+        .iter()
+        .map(|bytes| (src(bytes), vec![T::default(); n]))
         .collect();
-    let reports = engine.submit_batch(perm, jobs).wait();
-    let mut outputs = Vec::with_capacity(reports.len());
-    for report in reports {
-        outputs.push(elems_to_bytes(&report.map_err(job_err)?.dst));
+    let outputs = engine
+        .submit_batch(perm, jobs)
+        .wait()
+        .into_iter()
+        .map(|report| report.map(|r| r.dst).map_err(job_err))
+        .collect::<Result<Vec<Vec<T>>, _>>()?;
+    Ok(PayloadBody::PermutedBatch {
+        payloads: outputs.iter().map(Vec::as_slice).collect(),
     }
-    Ok(outputs)
+    .seal())
 }

@@ -5,11 +5,12 @@
 
 use proptest::prelude::*;
 
+use hmm_server::framing::open;
 use hmm_server::proto::{
     kind, Frame, PermRepr, ProtoError, ServerStats, CHECKSUM_LEN, HEADER_LEN, MAGIC, MAX_BATCH,
-    MAX_BODY, MAX_ERR_MSG,
+    MAX_BODY, MAX_ERR_MSG, PROTOCOL_VERSION,
 };
-use hmm_server::{read_frame, ErrCode};
+use hmm_server::{bytes_to_elems, elems_to_bytes, read_frame, Elem, ErrCode, PayloadBody};
 
 // ---------------------------------------------------------------------------
 // Exhaustive fixed round trips: one of every frame kind
@@ -147,7 +148,7 @@ fn unknown_kind_is_typed() {
     let mut bytes = Frame::Stats.encode();
     bytes[5] = 77;
     let sum_at = bytes.len() - CHECKSUM_LEN;
-    let sum = hmm_plan::fnv1a(&bytes[..sum_at]);
+    let sum = hmm_plan::xxh64(&bytes[..sum_at]);
     bytes[sum_at..].copy_from_slice(&sum.to_le_bytes());
     assert_eq!(Frame::decode(&bytes), Err(ProtoError::BadKind { got: 77 }));
 }
@@ -190,7 +191,7 @@ fn oversized_length_prefix_is_refused_before_any_body_read() {
     // Header claiming a 4 GiB - 1 body; the reader has nothing after it.
     let mut header = Vec::new();
     header.extend_from_slice(&MAGIC);
-    header.push(1); // version
+    header.push(PROTOCOL_VERSION);
     header.push(kind::PERMUTE);
     header.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(header.len(), HEADER_LEN);
@@ -215,7 +216,7 @@ fn buffer_decode_rejects_oversized_without_reading_past_header() {
     // header alone, even though "body bytes" would be available.
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&MAGIC);
-    bytes.push(1);
+    bytes.push(PROTOCOL_VERSION);
     bytes.push(kind::PERMUTE);
     bytes.extend_from_slice(&((MAX_BODY as u32) + 1).to_le_bytes());
     bytes.resize(bytes.len() + 64, 0xab);
@@ -265,6 +266,150 @@ fn clean_close_is_distinguished_from_mid_frame_death() {
             }
             other => panic!("cut at {cut}: expected Io(UnexpectedEof), got {other:?}"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The typed payload paths and `Frame` speak one grammar
+// ---------------------------------------------------------------------------
+
+/// Every payload kind sealed from typed slices must be byte-identical to
+/// `Frame::encode` of the equivalent owned frame.
+fn assert_typed_seals_match<T: Elem>(payloads: &[Vec<T>]) {
+    let bytes: Vec<Vec<u8>> = payloads.iter().map(|p| elems_to_bytes(p)).collect();
+    let slices: Vec<&[T]> = payloads.iter().map(Vec::as_slice).collect();
+    for (payload, bytes) in slices.iter().zip(&bytes) {
+        assert_eq!(
+            PayloadBody::Permute { handle: 7, payload }.seal(),
+            Frame::Permute {
+                handle: 7,
+                payload: bytes.clone(),
+            }
+            .encode()
+        );
+        assert_eq!(
+            PayloadBody::Permuted { payload }.seal(),
+            Frame::Permuted {
+                payload: bytes.clone(),
+            }
+            .encode()
+        );
+    }
+    assert_eq!(
+        PayloadBody::PermuteBatch {
+            handle: 9,
+            payloads: slices.clone(),
+        }
+        .seal(),
+        Frame::PermuteBatch {
+            handle: 9,
+            payloads: bytes.clone(),
+        }
+        .encode()
+    );
+    assert_eq!(
+        PayloadBody::PermutedBatch { payloads: slices }.seal(),
+        Frame::PermutedBatch { payloads: bytes }.encode()
+    );
+}
+
+#[test]
+fn typed_seals_equal_frame_encode() {
+    assert_typed_seals_match::<u32>(&[
+        vec![],
+        vec![1],
+        vec![0xdead_beef, 2, 3],
+        (0..1000).collect(),
+    ]);
+    assert_typed_seals_match::<u64>(&[
+        vec![],
+        vec![u64::MAX],
+        vec![1 << 40, 5, 0x0123_4567_89ab_cdef],
+    ]);
+    assert_typed_seals_match::<u32>(&[]);
+}
+
+/// A decoded payload frame: its handle (requests only) and each payload
+/// converted to elements (`None` on a size mismatch).
+type Decoded<T> = (Option<u64>, Vec<Option<Vec<T>>>);
+
+/// What the client and server hot paths see: the verified body parsed
+/// in place, each borrowed payload converted to elements.
+fn typed_decode<T: Elem>(bytes: &[u8]) -> Decoded<T> {
+    let (kind, body) = open(bytes).unwrap();
+    match PayloadBody::parse(kind, body)
+        .unwrap()
+        .expect("a payload kind")
+    {
+        PayloadBody::Permute { handle, payload } => (Some(handle), vec![bytes_to_elems(payload)]),
+        PayloadBody::Permuted { payload } => (None, vec![bytes_to_elems(payload)]),
+        PayloadBody::PermuteBatch { handle, payloads } => (
+            Some(handle),
+            payloads.into_iter().map(bytes_to_elems).collect(),
+        ),
+        PayloadBody::PermutedBatch { payloads } => {
+            (None, payloads.into_iter().map(bytes_to_elems).collect())
+        }
+    }
+}
+
+/// The same frame through `Frame::decode` and `bytes_to_elems`.
+fn frame_decode<T: Elem>(bytes: &[u8]) -> Decoded<T> {
+    let all = |payloads: &[Vec<u8>]| payloads.iter().map(|p| bytes_to_elems(p)).collect();
+    match Frame::decode(bytes).unwrap() {
+        Frame::Permute { handle, payload } => (Some(handle), vec![bytes_to_elems(&payload)]),
+        Frame::Permuted { payload } => (None, vec![bytes_to_elems(&payload)]),
+        Frame::PermuteBatch { handle, payloads } => (Some(handle), all(&payloads)),
+        Frame::PermutedBatch { payloads } => (None, all(&payloads)),
+        other => panic!("{} is not a payload frame", other.kind_name()),
+    }
+}
+
+#[test]
+fn typed_decode_equals_frame_decode() {
+    // Empty, whole-u32, whole-u64, and odd-length (size-mismatch)
+    // payloads.
+    let raw: Vec<Vec<u8>> = vec![
+        vec![],
+        vec![1, 2, 3, 4],
+        (1..=8).collect(),
+        vec![9; 5],
+        vec![7; 12],
+    ];
+    let frames = raw
+        .iter()
+        .flat_map(|p| {
+            [
+                Frame::Permute {
+                    handle: 3,
+                    payload: p.clone(),
+                },
+                Frame::Permuted { payload: p.clone() },
+            ]
+        })
+        .chain([
+            Frame::PermuteBatch {
+                handle: 4,
+                payloads: raw.clone(),
+            },
+            Frame::PermutedBatch {
+                payloads: raw.clone(),
+            },
+            Frame::PermutedBatch { payloads: vec![] },
+        ]);
+    for frame in frames {
+        let bytes = frame.encode();
+        let name = frame.kind_name();
+        assert_eq!(
+            typed_decode::<u32>(&bytes),
+            frame_decode::<u32>(&bytes),
+            "{name}"
+        );
+        assert_eq!(
+            typed_decode::<u64>(&bytes),
+            frame_decode::<u64>(&bytes),
+            "{name}"
+        );
     }
 }
 

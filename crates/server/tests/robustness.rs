@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hmm_perm::families;
-use hmm_server::proto::{elems_to_bytes, Frame, ServerStats};
+use hmm_server::proto::{elems_to_bytes, kind, Frame, ServerStats, MAGIC};
 use hmm_server::{
     read_frame, write_frame, AdmissionConfig, Client, ClientError, ErrCode, Server, ServerConfig,
 };
@@ -138,6 +138,36 @@ fn hostile_bytes_get_a_typed_err_frame_not_a_silent_disconnect() {
         Frame::StatsReport(_) => {}
         other => panic!("connection should still serve; got {}", other.kind_name()),
     }
+}
+
+#[test]
+fn a_v1_frame_gets_bad_frame_and_a_close_never_a_hang() {
+    let server = server();
+
+    // A well-formed protocol-v1 STATS frame: header, empty body, and the
+    // FNV-1a trailer v1 sealed frames with.
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&MAGIC);
+    frame.push(1);
+    frame.push(kind::STATS);
+    frame.extend_from_slice(&0u32.to_le_bytes());
+    let sum = hmm_plan::fnv1a(&frame);
+    frame.extend_from_slice(&sum.to_le_bytes());
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&frame).unwrap();
+    raw.flush().unwrap();
+    match read_frame(&mut raw.try_clone().unwrap()).unwrap() {
+        Frame::Err { code, message } => {
+            assert_eq!(code, ErrCode::BadFrame);
+            assert!(message.contains("version 1"), "{message}");
+        }
+        other => panic!("expected ERR, got {}", other.kind_name()),
+    }
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "server must close after the bad-frame ERR");
 }
 
 #[test]
