@@ -525,7 +525,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         "computed" => {
             // Acceptance sizes 256K–4M; quick mode stays cache-friendly so
-            // the register-fold win is visible without a long run.
+            // the one-sweep win is visible without a long run.
             let sizes: Vec<usize> = if args.full || args.json {
                 vec![1 << 18, 1 << 20, 1 << 22]
             } else {
@@ -536,10 +536,10 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let rows = native_experiments::computed_index(&sizes, reps)?;
             print!("{}", native_experiments::render_computed(&rows));
             println!(
-                "\n(Both arms run the identical fused three-sweep plan; the computed arm\n\
-                 evaluates the affine GF(2) fold in registers and never reads the 4n-byte\n\
-                 gather maps, the map-load arm streams them. Outputs are asserted\n\
-                 byte-identical to the reference before timing.)"
+                "\n(Both arms run the same structured plan; the computed arm runs it as one\n\
+                 tiled sweep over whole 256-byte runs and never reads the 4n-byte gather\n\
+                 maps, the map-load arm runs the three fused sweeps and streams them.\n\
+                 Outputs are asserted byte-identical to the reference before timing.)"
             );
             if args.json {
                 let dir = std::path::Path::new("results");

@@ -315,9 +315,9 @@ pub fn fused_chain(sizes: &[usize], reps: usize) -> Result<Vec<FusedRow>> {
 }
 
 /// One row of the computed-index kernel comparison: the same structured
-/// plan executed with the affine fold evaluated in registers (map-free
-/// gathers) against the materialized gather-map loads, over the fused
-/// three-sweep pipeline.
+/// plan executed as one tiled sweep with indices computed from its affine
+/// map, against the fused three-sweep pipeline loading the materialized
+/// gather maps.
 #[derive(Debug, Clone)]
 pub struct ComputedRow {
     /// Permutation family (affine — only structured plans carry the
@@ -325,10 +325,10 @@ pub struct ComputedRow {
     pub family: &'static str,
     /// Array size.
     pub n: usize,
-    /// Fused three-sweep run with computed-index kernels (the default).
+    /// One tiled sweep with computed indices (the default).
     pub computed: Duration,
-    /// The same plan with `computed_index` off: gather indices loaded
-    /// from the materialized maps.
+    /// The same plan with `computed_index` off: three fused sweeps with
+    /// gather indices loaded from the materialized maps.
     pub map_load: Duration,
 }
 
@@ -342,7 +342,7 @@ impl ComputedRow {
 /// Measure the computed-index kernels against the map-load kernels over
 /// the same structured plans: per affine family and size, one
 /// `NativeScheduled` prepared with the default config (descriptors
-/// carried, fold in registers, maps never read) and one with
+/// carried, one tiled sweep, maps never read) and one with
 /// `computed_index` off. Outputs are asserted byte-identical to the
 /// `Permutation::permute` reference — and to each other — before any
 /// time is reported, and both executions are checked to actually take

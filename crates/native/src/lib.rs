@@ -10,7 +10,9 @@
 //! * [`scheduled::NativeScheduled`] — the scheduled permutation executed
 //!   as three fused memory sweeps (gather-transpose, gather-transpose,
 //!   row gather), built from the backend-neutral [`hmm_plan::PlanIr`]
-//!   shared with the simulator and the on-disk plan store;
+//!   shared with the simulator and the on-disk plan store; plans with
+//!   affine descriptors run instead as one tiled sweep that reads and
+//!   writes whole 256-byte runs (`tiled`);
 //! * [`plan::SharedEngine`] — the concurrent front door: a thread-safe
 //!   plan service (`&self` from any number of threads) with a sharded LRU
 //!   cache, single-flight plan construction, verified (collision-proof)
@@ -41,12 +43,13 @@
 //!   process) and the chunked parallel-for primitives built on it
 //!   (`rayon` is not on this reproduction's offline dependency list).
 //!
-//! `unsafe` is confined to five audited sites: the scatter kernel's
-//! disjointness argument (`scatter::ScatterTarget`), the pool's
-//! type-erased task pointer (`pool::RawTask`), the chunk splitter
-//! (`par::SliceParts`), the seed-initialized per-thread staging arena
-//! (`stage`), and the clamped-index vector kernels (`simd` — the one
-//! module allowed to touch `core::arch`).
+//! `unsafe` is confined to six audited sites: the disjointness arguments
+//! of the scatter kernel and the tiled sweep (`scatter::ScatterTarget`,
+//! `tiled::TileTarget`), the pool's type-erased task pointer
+//! (`pool::RawTask`), the chunk splitter (`par::SliceParts`), the
+//! seed-initialized per-thread staging arena (`stage`), and the
+//! clamped-index vector kernels (`simd` — the one module allowed to
+//! touch `core::arch`).
 //!
 //! The criterion benches in `hmm-bench` compare the approaches across the
 //! paper's permutation families and sizes.
@@ -64,6 +67,7 @@ pub mod scatter;
 pub mod scheduled;
 mod simd;
 mod stage;
+mod tiled;
 
 pub use backend::{
     as_native_scheduled, backend_names, by_name, default_backend, forced_engine, forced_engine_on,

@@ -409,12 +409,12 @@ pub struct EngineStats {
     /// coloring. Disjoint from [`EngineStats::builds`].
     pub plans_structured: u64,
     /// Scheduled plans prepared from an IR carrying verified affine
-    /// descriptors — the plans whose gather sweeps run the
-    /// computed-index kernels when
-    /// [`EngineStats::kernel_computed_index`] is set. Counts structured
-    /// builds and store loads alike (a compact store entry rebuilds its
-    /// maps from the descriptors, so a warm-store cold start is still
-    /// descriptor-backed); König-colored plans never carry descriptors.
+    /// descriptors — the plans the native backend runs as one tiled
+    /// sweep when [`EngineStats::kernel_computed_index`] is set. Counts
+    /// structured builds and store loads alike (a compact store entry
+    /// rebuilds its maps from the descriptors, so a warm-store cold
+    /// start is still descriptor-backed); König-colored plans never
+    /// carry descriptors.
     pub plans_affine: u64,
     /// Scheduled plans served from the on-disk store, each verified
     /// against the requested permutation before use.
@@ -458,8 +458,9 @@ pub struct EngineStats {
     pub kernel_stage_bytes: usize,
     /// Whether the kernel config enables the vectorized sweep tiers.
     pub kernel_simd: bool,
-    /// Whether the kernel config enables the computed-index (affine
-    /// fold) gather kernels for plans that carry descriptors.
+    /// Whether the kernel config enables the computed-index form for
+    /// plans that carry descriptors (on the native backend: one tiled
+    /// sweep instead of the three map-load sweeps).
     pub kernel_computed_index: bool,
     /// Registry name of the backend this engine prepares plans on
     /// (`"native"`, `"interp"`, ...). Empty in a default-constructed

@@ -1,5 +1,9 @@
 //! The scheduled permutation on a real CPU, executed as **three fused
-//! memory sweeps**.
+//! memory sweeps** — the path of every König-colored plan, and of
+//! structured plans when [`KernelConfig::computed_index`] is off (the
+//! map-load reference). Structured plans otherwise run as one tiled
+//! sweep ([`crate::tiled`]); [`NativeScheduled`] holds both forms and the
+//! config picks one per run.
 //!
 //! The GPU implementation (and the simulator) run five passes: row gather,
 //! transpose, row gather, transpose, row gather. On the CPU the transposes
@@ -69,9 +73,10 @@ use crate::config::KernelConfig;
 use crate::par::{par_chunks_mut, par_chunks_mut_exact, worker_threads};
 use crate::simd::{self, Tier};
 use crate::stage;
+use crate::tiled::TiledPlan;
 use core::mem::size_of;
 use hmm_perm::{MatrixShape, Permutation};
-use hmm_plan::{AffineStep, PassLayout, PlanIr, Result};
+use hmm_plan::{PassLayout, PlanIr, Result};
 use std::time::{Duration, Instant};
 
 /// A CPU-executable scheduled permutation: the three-step decomposition
@@ -89,13 +94,13 @@ pub struct NativeScheduled {
     g2: Vec<u32>,
     /// Sweep 3 gather map, flattened `r × c`.
     g3: Vec<u32>,
-    /// The plan's affine descriptors (order `g1, g2, g3`) when it is
-    /// structured. With [`KernelConfig::computed_index`] set, the sweeps
-    /// compute gather indices from these in registers instead of loading
-    /// the materialized maps — the maps are still kept (they are what
+    /// The one-sweep form of a structured plan ([`crate::tiled`]),
+    /// present exactly when the plan carries affine descriptors. With
+    /// [`KernelConfig::computed_index`] set, runs take it instead of the
+    /// three sweeps — the maps are still kept (they are what
     /// [`run_unfused`](Self::run_unfused) and the map-load config point
-    /// execute), so the flag alone decides the kernel form at run time.
-    affine: Option<[AffineStep; 3]>,
+    /// execute), so the flag alone decides the kernel at run time.
+    tiled: Option<TiledPlan>,
     /// Kernel tuning (block size, staging depth, SIMD, prefetch).
     config: KernelConfig,
 }
@@ -148,32 +153,22 @@ impl NativeScheduled {
             g1: ir.gather1().to_vec(),
             g2: ir.gather2().to_vec(),
             g3: ir.gather3().to_vec(),
-            affine: ir.affine().cloned(),
+            tiled: ir.source_bmmc().map(TiledPlan::new),
             config,
         })
     }
 
-    /// True when the sweeps will run the computed-index kernels: the
-    /// plan carries verified affine descriptors *and* the config has
-    /// them enabled.
+    /// True when runs take the one tiled sweep, with indices computed
+    /// from the plan's affine map instead of loaded from the three
+    /// gather maps: the plan carries verified affine descriptors *and*
+    /// the config has [`KernelConfig::computed_index`] enabled.
     pub fn computed_index(&self) -> bool {
-        self.affine.is_some() && self.config.computed_index
+        self.tiled().is_some()
     }
 
-    /// The per-pass index sources the sweeps run with.
-    fn sources(&self) -> [IndexSrc<'_>; 3] {
-        match &self.affine {
-            Some(steps) if self.config.computed_index => [
-                IndexSrc::Affine(&steps[0]),
-                IndexSrc::Affine(&steps[1]),
-                IndexSrc::Affine(&steps[2]),
-            ],
-            _ => [
-                IndexSrc::Map(&self.g1),
-                IndexSrc::Map(&self.g2),
-                IndexSrc::Map(&self.g3),
-            ],
-        }
+    /// The one-sweep kernel, when this run takes it.
+    fn tiled(&self) -> Option<&TiledPlan> {
+        self.tiled.as_ref().filter(|_| self.config.computed_index)
     }
 
     /// This schedule with a different kernel config.
@@ -202,7 +197,9 @@ impl NativeScheduled {
         self.len() == 0
     }
 
-    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch).
+    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch)
+    /// (the three-sweep path's intermediate; the one tiled sweep leaves it
+    /// untouched).
     pub fn scratch_len(&self) -> usize {
         self.len()
     }
@@ -217,28 +214,22 @@ impl NativeScheduled {
     }
 
     /// Execute with a caller-provided scratch buffer of length `n`,
-    /// allocation-free after worker warm-up: three fused sweeps,
-    /// `src → dst → scratch → dst`.
+    /// allocation-free after worker warm-up: one tiled sweep `src → dst`
+    /// for structured plans under [`computed_index`](Self::computed_index),
+    /// otherwise three fused sweeps, `src → dst → scratch → dst`.
     pub fn run_with_scratch<T: Copy + Send + Sync>(
         &self,
         src: &[T],
         dst: &mut [T],
         scratch: &mut [T],
     ) {
-        self.check_lengths(src, dst, scratch);
-        let [s1, s2, s3] = self.sources();
-        // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
-        gather_transpose(src, s1, self.layouts[0], dst, &self.config);
-        // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
-        gather_transpose(dst, s2, self.layouts[1], scratch, &self.config);
-        // Sweep 3: plain row gather (g3) on the r×c matrix.
-        row_pass(scratch, s3, self.layouts[2], dst, &self.config);
+        self.run_sweeps_timed(src, dst, scratch);
     }
 
-    /// [`run_with_scratch`](Self::run_with_scratch), timing each of the
-    /// three sweeps: `[gather-transpose 1, gather-transpose 2, row pass]`.
-    /// The output is identical; the bench's `sweep_gather` /
-    /// `sweep_transpose` / `sweep_row` rows come from here.
+    /// [`run_with_scratch`](Self::run_with_scratch), timing each sweep:
+    /// `[gather-transpose 1, gather-transpose 2, row pass]` on the
+    /// three-sweep path, `[tiled sweep, 0, 0]` on the one-sweep path. The
+    /// output is identical; the bench's per-sweep rows come from here.
     pub fn run_sweeps_timed<T: Copy + Send + Sync>(
         &self,
         src: &[T],
@@ -246,13 +237,20 @@ impl NativeScheduled {
         scratch: &mut [T],
     ) -> [Duration; 3] {
         self.check_lengths(src, dst, scratch);
-        let [s1, s2, s3] = self.sources();
+        let tier = simd::select::<T>(self.config.simd);
         let t0 = Instant::now();
-        gather_transpose(src, s1, self.layouts[0], dst, &self.config);
+        if let Some(tiled) = self.tiled() {
+            tiled.run(src, dst, tier);
+            return [t0.elapsed(), Duration::ZERO, Duration::ZERO];
+        }
+        // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
+        gather_transpose(src, &self.g1, self.layouts[0], dst, &self.config);
         let t1 = Instant::now();
-        gather_transpose(dst, s2, self.layouts[1], scratch, &self.config);
+        // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
+        gather_transpose(dst, &self.g2, self.layouts[1], scratch, &self.config);
         let t2 = Instant::now();
-        row_pass(scratch, s3, self.layouts[2], dst, &self.config);
+        // Sweep 3: plain row gather (g3) on the r×c matrix.
+        row_pass(scratch, &self.g3, self.layouts[2], dst, &self.config);
         [t1 - t0, t2 - t1, t2.elapsed()]
     }
 
@@ -285,84 +283,48 @@ impl NativeScheduled {
     }
 }
 
-/// How a sweep's gather indices reach the kernels: loaded from a
-/// materialized flat map, or computed in registers from the plan's
-/// affine descriptor. Mirrors `hmm_backend::IndexSource`, kept local so
-/// the hot paths stay free of cross-crate enum matching concerns.
-#[derive(Clone, Copy)]
-enum IndexSrc<'a> {
-    /// Plan-sized flat map, one entry per element.
-    Map(&'a [u32]),
-    /// Affine descriptor: O(log n) masks folded per element.
-    Affine(&'a AffineStep),
-}
-
 /// Row-local gather: `out[row][k] = in[row][g[row*cols + k]]`, parallel
 /// over bands of rows.
 ///
 /// Band chunks are always whole rows (the band length is a multiple of
 /// `cols`), so the row base is hoisted out of the inner loop — the seed
 /// computed `pos % cols` per element. The inner gather runs the
-/// config-selected kernel tier. On the map path the next row's slice of
-/// the gather map is prefetched while the current row is gathered; the
-/// computed path has no map stream to prefetch — that absent stream is
-/// the optimization.
+/// config-selected kernel tier, and the next row's slice of the gather
+/// map is prefetched while the current row is gathered.
 fn row_pass<T: Copy + Send + Sync>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     layout: PassLayout,
     out: &mut [T],
     cfg: &KernelConfig,
 ) {
     debug_assert_eq!(input.len(), out.len());
+    debug_assert_eq!(g.len(), out.len());
     debug_assert!(!layout.fused_transpose);
     let cols = layout.cols;
     let rows = out.len() / cols;
     debug_assert_eq!(rows, layout.rows);
     let tier = simd::select::<T>(cfg.simd);
     let band = rows_per_band(rows) * cols;
-    match g {
-        IndexSrc::Map(g) => {
-            debug_assert_eq!(g.len(), out.len());
-            par_chunks_mut(out, band, |start, chunk| {
-                debug_assert_eq!(start % cols, 0);
-                debug_assert_eq!(chunk.len() % cols, 0);
-                for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let base = start + rr * cols;
-                    if cfg.prefetch {
-                        if let Some(next_map) = g.get(base + cols..base + 2 * cols) {
-                            simd::prefetch_lines(next_map);
-                        }
-                    }
-                    simd::gather_row(
-                        tier,
-                        &input[base..base + cols],
-                        &g[base..base + cols],
-                        out_row,
-                    );
+    par_chunks_mut(out, band, |start, chunk| {
+        debug_assert_eq!(start % cols, 0);
+        debug_assert_eq!(chunk.len() % cols, 0);
+        for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
+            let base = start + rr * cols;
+            if cfg.prefetch {
+                if let Some(next_map) = g.get(base + cols..base + 2 * cols) {
+                    simd::prefetch_lines(next_map);
                 }
-            });
+            }
+            simd::gather_row(
+                tier,
+                &input[base..base + cols],
+                &g[base..base + cols],
+                0,
+                out_row,
+            );
         }
-        IndexSrc::Affine(step) => {
-            debug_assert_eq!(step.col_bits(), cols.trailing_zeros());
-            let aff = simd::AffineRow::new(step.lo_masks());
-            par_chunks_mut(out, band, |start, chunk| {
-                debug_assert_eq!(start % cols, 0);
-                let row0 = start / cols;
-                for (rr, out_row) in chunk.chunks_exact_mut(cols).enumerate() {
-                    let base = (row0 + rr) * cols;
-                    simd::gather_row_affine(
-                        tier,
-                        &input[base..base + cols],
-                        &aff,
-                        step.row_base(row0 + rr),
-                        0,
-                        out_row,
-                    );
-                }
-            });
-        }
-    }
+    });
 }
 
 /// The seed's row-local gather, unchanged: recomputes the row base with a
@@ -394,7 +356,7 @@ fn row_pass_seed<T: Copy + Send + Sync>(input: &[T], g: &[u32], cols: usize, out
 /// (≤ `cfg.stage_bytes` each) never leave the cache.
 fn gather_transpose<T: Copy + Send + Sync>(
     input: &[T],
-    g: IndexSrc<'_>,
+    g: &[u32],
     layout: PassLayout,
     out: &mut [T],
     cfg: &KernelConfig,
@@ -403,9 +365,7 @@ fn gather_transpose<T: Copy + Send + Sync>(
     debug_assert!(layout.fused_transpose);
     debug_assert_eq!(input.len(), rows * cols);
     debug_assert_eq!(out.len(), rows * cols);
-    if let IndexSrc::Map(g) = g {
-        debug_assert_eq!(g.len(), rows * cols);
-    }
+    debug_assert_eq!(g.len(), rows * cols);
     if input.is_empty() {
         return;
     }
@@ -522,7 +482,7 @@ fn gather_transpose<T: Copy + Send + Sync>(
 /// transposition bugs).
 struct GatherArgs<'a, T> {
     input: &'a [T],
-    g: IndexSrc<'a>,
+    g: &'a [u32],
     rows: usize,
     cols: usize,
     out_row0: usize,
@@ -535,12 +495,10 @@ struct GatherArgs<'a, T> {
 }
 
 /// Gather stage: stage rows `i0..imax` (this worker's `out_rows`-wide
-/// slice of each) into `temp`, row-major. On the map path, while row `i`
-/// is gathered the same row of the *next* block's gather-map slice is
-/// prefetched — the map is the one stream the hardware prefetcher cannot
-/// anticipate across the block-strided access pattern. The computed
-/// path folds each index in registers instead, so there is no map
-/// stream to fetch, prefetch, or evict data with.
+/// slice of each) into `temp`, row-major. While row `i` is gathered the
+/// same row of the *next* block's gather-map slice is prefetched — the
+/// map is the one stream the hardware prefetcher cannot anticipate
+/// across the block-strided access pattern.
 fn gather_block<T: Copy>(args: GatherArgs<'_, T>) {
     let GatherArgs {
         input,
@@ -557,31 +515,17 @@ fn gather_block<T: Copy>(args: GatherArgs<'_, T>) {
     } = args;
     debug_assert_eq!(temp.len(), (imax - i0) * out_rows);
     let block = imax - i0;
-    match g {
-        IndexSrc::Map(g) => {
-            for i in i0..imax {
-                if prefetch {
-                    let pi = i + block;
-                    if pi < rows {
-                        simd::prefetch_lines(
-                            &g[pi * cols + out_row0..pi * cols + out_row0 + out_rows],
-                        );
-                    }
-                }
-                let in_row = &input[i * cols..(i + 1) * cols];
-                let g_row = &g[i * cols + out_row0..i * cols + out_row0 + out_rows];
-                let t_row = &mut temp[(i - i0) * out_rows..(i - i0 + 1) * out_rows];
-                simd::gather_row(tier, in_row, g_row, t_row);
+    for i in i0..imax {
+        if prefetch {
+            let pi = i + block;
+            if pi < rows {
+                simd::prefetch_lines(&g[pi * cols + out_row0..pi * cols + out_row0 + out_rows]);
             }
         }
-        IndexSrc::Affine(step) => {
-            let aff = simd::AffineRow::new(step.lo_masks());
-            for i in i0..imax {
-                let in_row = &input[i * cols..(i + 1) * cols];
-                let t_row = &mut temp[(i - i0) * out_rows..(i - i0 + 1) * out_rows];
-                simd::gather_row_affine(tier, in_row, &aff, step.row_base(i), out_row0, t_row);
-            }
-        }
+        let in_row = &input[i * cols..(i + 1) * cols];
+        let g_row = &g[i * cols + out_row0..i * cols + out_row0 + out_rows];
+        let t_row = &mut temp[(i - i0) * out_rows..(i - i0 + 1) * out_rows];
+        simd::gather_row(tier, in_row, g_row, 0, t_row);
     }
 }
 
@@ -829,9 +773,10 @@ mod tests {
     #[test]
     fn computed_index_is_byte_identical_across_configs_and_widths() {
         // The full computed-index differential: for every structured
-        // family that carries descriptors, the computed kernels (every
-        // tier, both staging depths, ragged block shapes) must reproduce
-        // the map-loaded scalar reference byte for byte, at u32 and u64.
+        // family that carries descriptors, the one tiled sweep (every
+        // tier; the staging knobs of the three-sweep path must not
+        // matter) must reproduce the map-loaded scalar reference byte
+        // for byte, at u32 and u64.
         let n = 1 << 13;
         let src32: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
         let src64: Vec<u64> = (0..n as u64).map(|v| v << 32 | v ^ 0xabcd).collect();
@@ -891,9 +836,8 @@ mod tests {
 
     #[test]
     fn computed_index_handles_ragged_worker_bands() {
-        // Rectangular shape (r != c) at a size where worker bands and
-        // block tails land on unaligned column offsets — the j0 seams of
-        // the affine gather.
+        // Rectangular shape (r != c): the tiled sweep ignores the
+        // staging budget, so every budget gives the same bytes.
         let n = 1 << 11;
         let p = families::shuffle(n).unwrap();
         let ir = PlanIr::build(&p, W).unwrap();
@@ -947,13 +891,7 @@ mod tests {
                 let input: Vec<u32> = (0..(r * c) as u32).collect();
                 let identity: Vec<u32> = (0..r).flat_map(|_| 0..c as u32).collect();
                 let mut fused = vec![0u32; r * c];
-                gather_transpose(
-                    &input,
-                    IndexSrc::Map(&identity),
-                    fused_layout(r, c),
-                    &mut fused,
-                    &cfg,
-                );
+                gather_transpose(&input, &identity, fused_layout(r, c), &mut fused, &cfg);
                 let mut plain = vec![0u32; r * c];
                 transpose_blocked(&input, r, c, &mut plain, &cfg);
                 assert_eq!(fused, plain, "r={r} c={c} {cfg:?}");

@@ -107,312 +107,34 @@ pub(crate) fn prefetch_lines<T>(data: &[T]) {
     }
 }
 
-/// Per-pass state for computed-index gathers: the plan descriptor's
-/// in-row masks plus the inclusive XOR-prefix table that drives the
-/// sequential walk. Incrementing the in-row position `j → j+1` flips
-/// bits `0..=tz(j+1)`, whose masks fold to `prefix[tz(j+1)]` — so the
-/// walk costs one `trailing_zeros`, one table load, and one XOR per
-/// element instead of a map load.
-pub(crate) struct AffineRow<'a> {
-    /// Masks of the in-row coordinate bits (`AffineStep::lo_masks`).
-    lo: &'a [u32],
-    /// `prefix[t] = lo[0] ^ … ^ lo[t]`.
-    prefix: [u32; 32],
-}
-
-impl<'a> AffineRow<'a> {
-    /// Build the walk state from a descriptor's in-row masks.
-    pub(crate) fn new(lo: &'a [u32]) -> Self {
-        assert!(lo.len() <= 32, "in-row masks exceed u32 index space");
-        let mut prefix = [0u32; 32];
-        let mut acc = 0u32;
-        for (t, &m) in lo.iter().enumerate() {
-            acc ^= m;
-            prefix[t] = acc;
-        }
-        AffineRow { lo, prefix }
-    }
-
-    /// Fold of the in-row masks at position `j` (`j < 2^lo.len()`).
-    #[inline]
-    fn fold(&self, mut bits: usize) -> u32 {
-        let mut v = 0u32;
-        while bits != 0 {
-            v ^= self.lo[bits.trailing_zeros() as usize];
-            bits &= bits - 1;
-        }
-        v
-    }
-
-    /// XOR-delta advancing the walk onto position `next` (= old `j + 1`).
-    /// `next == 2^lo.len()` (one past the row) folds to 0 so the final
-    /// step of a full row is harmless.
-    #[inline]
-    fn step(&self, next: usize) -> u32 {
-        let tz = next.trailing_zeros() as usize;
-        if tz < self.lo.len() {
-            self.prefix[tz]
-        } else {
-            0
-        }
-    }
-}
-
-/// Computed-index row-local gather: `out[j] = in_row[e(j0 + j)]` where
-/// `e` is the affine fold `row_base ⊕ fold(lo, ·)` — the map-free
-/// counterpart of [`gather_row`] for plans that carry verified
-/// descriptors. `row_base` is `AffineStep::row_base(row)` for the row
-/// `in_row` spans and `j0` the first in-row position of this segment
-/// (workers gather column segments of a row, so `j0` is rarely 0 and
-/// need not be aligned to anything).
-///
-/// Contract (debug-asserted): `j0 + out.len() <= 2^lo.len() ==
-/// in_row.len()`. A verified descriptor can't produce an out-of-range
-/// index; release builds of the vector tiers clamp anyway, exactly like
-/// the map tiers, so a violated contract mis-gathers but stays in
-/// bounds.
-pub(crate) fn gather_row_affine<T: Copy>(
-    tier: Tier,
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    j0: usize,
-    out: &mut [T],
-) {
-    assert!(!in_row.is_empty(), "gather from an empty row");
-    debug_assert!(j0 + out.len() <= 1usize << aff.lo.len().min(usize::BITS as usize - 1));
-    match tier {
-        Tier::Scalar => {
-            let mut idx = row_base ^ aff.fold(j0);
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = in_row[idx as usize];
-                idx ^= aff.step(j0 + j + 1);
-            }
-        }
-        Tier::Unrolled => gather_row_affine_clamped(in_row, aff, row_base, j0, out),
-        Tier::Avx2(token) => gather_row_affine_avx2(token, in_row, aff, row_base, j0, out),
-    }
-}
-
-/// The clamped walk tier: four chained index computations per iteration
-/// (the XOR chain is latency-bound at ~2 cycles per element, still far
-/// ahead of a dependent map load), loads/stores unchecked with clamped
-/// indices.
-fn gather_row_affine_clamped<T: Copy>(
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    j0: usize,
-    out: &mut [T],
-) {
-    let limit = (in_row.len() - 1) as u32;
-    let base = in_row.as_ptr();
-    let n = out.len();
-    let o = out.as_mut_ptr();
-    let mut idx = row_base ^ aff.fold(j0);
-    let mut j = 0;
-    // SAFETY (both loops): indices are clamped to `limit < in_row.len()`
-    // before the read; `j + k < n == out.len()` bounds the writes.
-    #[allow(unsafe_code)]
-    unsafe {
-        while j + 4 <= n {
-            let i0 = idx;
-            let i1 = i0 ^ aff.step(j0 + j + 1);
-            let i2 = i1 ^ aff.step(j0 + j + 2);
-            let i3 = i2 ^ aff.step(j0 + j + 3);
-            idx = i3 ^ aff.step(j0 + j + 4);
-            *o.add(j) = *base.add(i0.min(limit) as usize);
-            *o.add(j + 1) = *base.add(i1.min(limit) as usize);
-            *o.add(j + 2) = *base.add(i2.min(limit) as usize);
-            *o.add(j + 3) = *base.add(i3.min(limit) as usize);
-            j += 4;
-        }
-        while j < n {
-            *o.add(j) = *base.add(idx.min(limit) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// AVX2 computed-index dispatch: 8-lane u32 / 4-lane u64 kernels that
-/// form each index vector as `splat(group base) ⊕ LUT` — the LUT holds
-/// the folds of the low lane bits, valid whenever the group's absolute
-/// position is lane-aligned. Falls back to the clamped walk for other
-/// widths or rows too short to have the lane bits.
-fn gather_row_affine_avx2<T: Copy>(
-    token: Avx2Token,
-    in_row: &[T],
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    j0: usize,
-    out: &mut [T],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match size_of::<T>() {
-            // SAFETY: the token proves AVX2; width 4/8 makes the pointer
-            // reinterpretations plain bit copies (unaligned intrinsics
-            // only); indices are clamped inside.
-            #[allow(unsafe_code)]
-            4 if aff.lo.len() >= 3 => unsafe {
-                gather_row_affine_u32(
-                    in_row.as_ptr() as *const u32,
-                    in_row.len(),
-                    aff,
-                    row_base,
-                    j0,
-                    out.as_mut_ptr() as *mut u32,
-                    out.len(),
-                );
-                return;
-            },
-            #[allow(unsafe_code)]
-            8 if aff.lo.len() >= 2 => unsafe {
-                gather_row_affine_u64(
-                    in_row.as_ptr() as *const u64,
-                    in_row.len(),
-                    aff,
-                    row_base,
-                    j0,
-                    out.as_mut_ptr() as *mut u64,
-                    out.len(),
-                );
-                return;
-            },
-            _ => {}
-        }
-    }
-    let _ = token;
-    gather_row_affine_clamped(in_row, aff, row_base, j0, out);
-}
-
-/// `vpgatherdd` with computed indices: the index vector for an 8-aligned
-/// group at position `p` is `splat(e(p)) ⊕ LUT` where `LUT[l] =
-/// fold(lo, l)` (the low three bits of `p + l` are exactly `l`).
-/// Stepping the group base `p → p+8` flips bits `3..=tz(p+8)`, folding
-/// to `prefix[tz(p+8)] ⊕ prefix[2]`.
-///
-/// # Safety
-/// Caller proves AVX2 and that `base[0..n_in]` and `out[0..n_out]` are
-/// valid with `n_in > 0` and `aff.lo.len() >= 3`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_row_affine_u32(
-    base: *const u32,
-    n_in: usize,
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    j0: usize,
-    out: *mut u32,
-    n_out: usize,
-) {
-    let lim = (n_in - 1) as u32;
-    let limit_v = arch::_mm256_set1_epi32(lim as i32);
-    let f = |l: usize| aff.fold(l) as i32;
-    let lut = arch::_mm256_setr_epi32(f(0), f(1), f(2), f(3), f(4), f(5), f(6), f(7));
-    let mut j = 0usize;
-    let mut idx = row_base ^ aff.fold(j0);
-    // SAFETY (all three loops): `j` stays `< n_out`, bounding every
-    // store; scalar reads clamp to `lim` and the vector clamp bounds
-    // every gathered address within `base[0..n_in]`.
-    unsafe {
-        // Scalar head until the absolute position is 8-aligned.
-        while j < n_out && !(j0 + j).is_multiple_of(8) {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
-        // Vector body: `idx` is the fold at the group's position.
-        while j + 8 <= n_out {
-            let iv = arch::_mm256_xor_si256(arch::_mm256_set1_epi32(idx as i32), lut);
-            let iv = arch::_mm256_min_epu32(iv, limit_v);
-            let v = arch::_mm256_i32gather_epi32::<4>(base as *const i32, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j0 + j + 8).trailing_zeros() as usize;
-            if tz < aff.lo.len() {
-                idx ^= aff.prefix[tz] ^ aff.prefix[2];
-            }
-            j += 8;
-        }
-        // Scalar tail.
-        while j < n_out {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// `vpgatherdq` with computed indices: four 64-bit elements per step,
-/// `LUT[l] = fold(lo, l)` over the low two lane bits, group delta
-/// `prefix[tz(p+4)] ⊕ prefix[1]`.
-///
-/// # Safety
-/// As [`gather_row_affine_u32`], with 8-byte elements and
-/// `aff.lo.len() >= 2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_row_affine_u64(
-    base: *const u64,
-    n_in: usize,
-    aff: &AffineRow<'_>,
-    row_base: u32,
-    j0: usize,
-    out: *mut u64,
-    n_out: usize,
-) {
-    let lim = (n_in - 1) as u32;
-    let limit_v = arch::_mm_set1_epi32(lim as i32);
-    let f = |l: usize| aff.fold(l) as i32;
-    let lut = arch::_mm_setr_epi32(f(0), f(1), f(2), f(3));
-    let mut j = 0usize;
-    let mut idx = row_base ^ aff.fold(j0);
-    // SAFETY: as in `gather_row_affine_u32`, with 4-lane groups.
-    unsafe {
-        while j < n_out && !(j0 + j).is_multiple_of(4) {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
-        while j + 4 <= n_out {
-            let iv = arch::_mm_xor_si128(arch::_mm_set1_epi32(idx as i32), lut);
-            let iv = arch::_mm_min_epu32(iv, limit_v);
-            let v = arch::_mm256_i32gather_epi64::<8>(base as *const i64, iv);
-            arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
-            let tz = (j0 + j + 4).trailing_zeros() as usize;
-            if tz < aff.lo.len() {
-                idx ^= aff.prefix[tz] ^ aff.prefix[1];
-            }
-            j += 4;
-        }
-        while j < n_out {
-            *out.add(j) = *base.add(idx.min(lim) as usize);
-            idx ^= aff.step(j0 + j + 1);
-            j += 1;
-        }
-    }
-}
-
-/// Row-local gather: `out[j] = in_row[g_row[j]]`.
+/// Row-local gather: `out[j] = in_row[g_row[j] ^ xor]`. The three
+/// sweeps gather with `xor = 0`; the tiled structured sweep XORs its
+/// per-plan lane table with each output run's arena offset.
 ///
 /// Contract (debug-asserted; the callers' maps are rows of a validated
-/// permutation plan, so it holds by construction): `g_row.len() ==
-/// out.len()`, `in_row` non-empty, and every index `< in_row.len()`.
-/// Release builds clamp indices instead of checking them, so a violated
-/// contract mis-gathers but stays in bounds.
-pub(crate) fn gather_row<T: Copy>(tier: Tier, in_row: &[T], g_row: &[u32], out: &mut [T]) {
+/// permutation plan or tile tables derived from a verified affine map,
+/// so it holds by construction): `g_row.len() == out.len()`, `in_row`
+/// non-empty, and every `g_row[j] ^ xor < in_row.len()`. Release builds
+/// clamp indices instead of checking them, so a violated contract
+/// mis-gathers but stays in bounds.
+pub(crate) fn gather_row<T: Copy>(
+    tier: Tier,
+    in_row: &[T],
+    g_row: &[u32],
+    xor: u32,
+    out: &mut [T],
+) {
     assert_eq!(g_row.len(), out.len(), "gather map / output length");
     assert!(!in_row.is_empty(), "gather from an empty row");
-    debug_assert!(g_row.iter().all(|&gi| (gi as usize) < in_row.len()));
+    debug_assert!(g_row.iter().all(|&gi| ((gi ^ xor) as usize) < in_row.len()));
     match tier {
         Tier::Scalar => {
             for (slot, &gi) in out.iter_mut().zip(g_row) {
-                *slot = in_row[gi as usize];
+                *slot = in_row[(gi ^ xor) as usize];
             }
         }
-        Tier::Unrolled => gather_row_clamped(in_row, g_row, out),
-        Tier::Avx2(token) => gather_row_avx2(token, in_row, g_row, out),
+        Tier::Unrolled => gather_row_clamped(in_row, g_row, xor, out),
+        Tier::Avx2(token) => gather_row_avx2(token, in_row, g_row, xor, out),
     }
 }
 
@@ -447,7 +169,7 @@ pub(crate) fn gather_map_usize<T: Copy>(tier: Tier, src: &[T], map: &[usize], ou
 
 /// The clamped, unrolled gather tier: four independent load/store chains
 /// per iteration, no bounds-check branches in the loop body.
-fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], out: &mut [T]) {
+fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], xor: u32, out: &mut [T]) {
     let limit = (in_row.len() - 1) as u32;
     let base = in_row.as_ptr();
     let n = out.len();
@@ -460,10 +182,10 @@ fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], out: &mut [T]) {
     #[allow(unsafe_code)]
     unsafe {
         while j + 4 <= n {
-            let i0 = (*g.add(j)).min(limit) as usize;
-            let i1 = (*g.add(j + 1)).min(limit) as usize;
-            let i2 = (*g.add(j + 2)).min(limit) as usize;
-            let i3 = (*g.add(j + 3)).min(limit) as usize;
+            let i0 = (*g.add(j) ^ xor).min(limit) as usize;
+            let i1 = (*g.add(j + 1) ^ xor).min(limit) as usize;
+            let i2 = (*g.add(j + 2) ^ xor).min(limit) as usize;
+            let i3 = (*g.add(j + 3) ^ xor).min(limit) as usize;
             *o.add(j) = *base.add(i0);
             *o.add(j + 1) = *base.add(i1);
             *o.add(j + 2) = *base.add(i2);
@@ -471,7 +193,7 @@ fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], out: &mut [T]) {
             j += 4;
         }
         while j < n {
-            *o.add(j) = *base.add((*g.add(j)).min(limit) as usize);
+            *o.add(j) = *base.add((*g.add(j) ^ xor).min(limit) as usize);
             j += 1;
         }
     }
@@ -480,7 +202,13 @@ fn gather_row_clamped<T: Copy>(in_row: &[T], g_row: &[u32], out: &mut [T]) {
 /// AVX2 gather dispatch on the element width. Widths other than 4/8
 /// can't reach here ([`select`] routes them to [`Tier::Unrolled`]), but
 /// fall back to the clamped tier defensively.
-fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: &mut [T]) {
+fn gather_row_avx2<T: Copy>(
+    token: Avx2Token,
+    in_row: &[T],
+    g_row: &[u32],
+    xor: u32,
+    out: &mut [T],
+) {
     #[cfg(target_arch = "x86_64")]
     {
         match size_of::<T>() {
@@ -493,6 +221,7 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
                     in_row.as_ptr() as *const u32,
                     in_row.len(),
                     g_row,
+                    xor,
                     out.as_mut_ptr() as *mut u32,
                     out.len(),
                 );
@@ -504,6 +233,7 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
                     in_row.as_ptr() as *const u64,
                     in_row.len(),
                     g_row,
+                    xor,
                     out.as_mut_ptr() as *mut u64,
                     out.len(),
                 );
@@ -513,7 +243,7 @@ fn gather_row_avx2<T: Copy>(token: Avx2Token, in_row: &[T], g_row: &[u32], out: 
         }
     }
     let _ = token;
-    gather_row_clamped(in_row, g_row, out);
+    gather_row_clamped(in_row, g_row, xor, out);
 }
 
 /// `vpgatherdd`: eight 32-bit elements per step, indices clamped in the
@@ -529,10 +259,12 @@ unsafe fn gather_row_u32(
     base: *const u32,
     n_in: usize,
     g_row: &[u32],
+    xor: u32,
     out: *mut u32,
     n_out: usize,
 ) {
     let limit = arch::_mm256_set1_epi32((n_in - 1) as i32);
+    let xor_v = arch::_mm256_set1_epi32(xor as i32);
     let g = g_row.as_ptr();
     let mut j = 0;
     while j + 8 <= n_out {
@@ -541,7 +273,7 @@ unsafe fn gather_row_u32(
         // gathered address within `base[0..n_in]`.
         unsafe {
             let idx = arch::_mm256_loadu_si256(g.add(j) as *const arch::__m256i);
-            let idx = arch::_mm256_min_epu32(idx, limit);
+            let idx = arch::_mm256_min_epu32(arch::_mm256_xor_si256(idx, xor_v), limit);
             let v = arch::_mm256_i32gather_epi32::<4>(base as *const i32, idx);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
         }
@@ -551,7 +283,7 @@ unsafe fn gather_row_u32(
     while j < n_out {
         // SAFETY: clamped index, `j < n_out`.
         unsafe {
-            *out.add(j) = *base.add((*g.add(j)).min(lim) as usize);
+            *out.add(j) = *base.add((*g.add(j) ^ xor).min(lim) as usize);
         }
         j += 1;
     }
@@ -568,10 +300,12 @@ unsafe fn gather_row_u64(
     base: *const u64,
     n_in: usize,
     g_row: &[u32],
+    xor: u32,
     out: *mut u64,
     n_out: usize,
 ) {
     let limit = arch::_mm_set1_epi32((n_in - 1) as i32);
+    let xor_v = arch::_mm_set1_epi32(xor as i32);
     let g = g_row.as_ptr();
     let mut j = 0;
     while j + 4 <= n_out {
@@ -579,7 +313,7 @@ unsafe fn gather_row_u64(
         // the epu32 clamp bounds every gathered address.
         unsafe {
             let idx = arch::_mm_loadu_si128(g.add(j) as *const arch::__m128i);
-            let idx = arch::_mm_min_epu32(idx, limit);
+            let idx = arch::_mm_min_epu32(arch::_mm_xor_si128(idx, xor_v), limit);
             let v = arch::_mm256_i32gather_epi64::<8>(base as *const i64, idx);
             arch::_mm256_storeu_si256(out.add(j) as *mut arch::__m256i, v);
         }
@@ -589,7 +323,7 @@ unsafe fn gather_row_u64(
     while j < n_out {
         // SAFETY: clamped index, `j < n_out`.
         unsafe {
-            *out.add(j) = *base.add((*g.add(j)).min(lim) as usize);
+            *out.add(j) = *base.add((*g.add(j) ^ xor).min(lim) as usize);
         }
         j += 1;
     }
@@ -796,10 +530,10 @@ mod tests {
         let in_row: Vec<u32> = (0..301u32).map(|v| v.wrapping_mul(2654435761)).collect();
         let g_row: Vec<u32> = (0..301u32).map(|j| (j * 7 + 3) % 301).collect();
         let mut want = vec![0u32; 301];
-        gather_row(Tier::Scalar, &in_row, &g_row, &mut want);
+        gather_row(Tier::Scalar, &in_row, &g_row, 0, &mut want);
         for tier in tiers() {
             let mut got = vec![0u32; 301];
-            gather_row(tier, &in_row, &g_row, &mut got);
+            gather_row(tier, &in_row, &g_row, 0, &mut got);
             assert_eq!(got, want, "{tier:?}");
         }
     }
@@ -811,11 +545,44 @@ mod tests {
         let g_row: Vec<u32> = (0..77u32).map(|j| 76 - j).collect();
         for tier in tiers() {
             let mut got64 = vec![0u64; 77];
-            gather_row(tier, &row64, &g_row, &mut got64);
+            gather_row(tier, &row64, &g_row, 0, &mut got64);
             assert!(got64.iter().enumerate().all(|(j, &v)| v == row64[76 - j]));
             let mut got128 = vec![0u128; 77];
-            gather_row(tier, &row128, &g_row, &mut got128);
+            gather_row(tier, &row128, &g_row, 0, &mut got128);
             assert!(got128.iter().enumerate().all(|(j, &v)| v == row128[76 - j]));
+        }
+    }
+
+    #[test]
+    fn gather_row_xor_operand_on_every_tier_and_width() {
+        // A 256-slot arena read at a table XORed with a per-call operand;
+        // 61 outputs leave a ragged tail after the 8-/4-lane bodies.
+        let table: Vec<u32> = (0..61u32).map(|j| (j * 37 + 11) % 256).collect();
+        let row32: Vec<u32> = (0..256u32).map(|v| v.wrapping_mul(2654435761)).collect();
+        let row64: Vec<u64> = (0..256u64).map(|v| v << 32 | v).collect();
+        let row128: Vec<u128> = (0..256u128).map(|v| v << 64 | v).collect();
+        for xor in [0u32, 1, 0b1011, 255] {
+            let want = |j: usize| (table[j] ^ xor) as usize;
+            for tier in tiers() {
+                let mut got32 = vec![0u32; 61];
+                gather_row(tier, &row32, &table, xor, &mut got32);
+                assert!(
+                    (0..61).all(|j| got32[j] == row32[want(j)]),
+                    "{tier:?} {xor}"
+                );
+                let mut got64 = vec![0u64; 61];
+                gather_row(tier, &row64, &table, xor, &mut got64);
+                assert!(
+                    (0..61).all(|j| got64[j] == row64[want(j)]),
+                    "{tier:?} {xor}"
+                );
+                let mut got128 = vec![0u128; 61];
+                gather_row(tier, &row128, &table, xor, &mut got128);
+                assert!(
+                    (0..61).all(|j| got128[j] == row128[want(j)]),
+                    "{tier:?} {xor}"
+                );
+            }
         }
     }
 
@@ -883,91 +650,6 @@ mod tests {
             2
         ));
         assert_eq!(dst, [0; 4], "declined tier must not touch dst");
-    }
-
-    /// Materialize `e(j) = row_base ^ fold(lo, j)` for `j` in
-    /// `j0..j0+len` — the map the computed walk must reproduce.
-    fn affine_map(lo: &[u32], row_base: u32, j0: usize, len: usize) -> Vec<u32> {
-        (j0..j0 + len)
-            .map(|j| {
-                let mut v = row_base;
-                let mut bits = j;
-                while bits != 0 {
-                    v ^= lo[bits.trailing_zeros() as usize];
-                    bits &= bits - 1;
-                }
-                v
-            })
-            .collect()
-    }
-
-    #[test]
-    fn gather_row_affine_matches_the_materialized_gather_on_every_tier() {
-        // Bit-reversal-of-6-bits masks: a genuinely non-identity fold.
-        let lo: Vec<u32> = (0..6).map(|b| 1u32 << (5 - b)).collect();
-        let aff = AffineRow::new(&lo);
-        let cols = 1usize << lo.len();
-        let in_row: Vec<u32> = (0..cols as u32)
-            .map(|v| v.wrapping_mul(2654435761))
-            .collect();
-        let row_base = 0b100101u32;
-        // Segments with unaligned starts, short lengths, and the full row.
-        for (j0, len) in [(0, cols), (1, 17), (3, 8), (5, 59), (7, 1), (62, 2), (0, 7)] {
-            let g = affine_map(&lo, row_base, j0, len);
-            let mut want = vec![0u32; len];
-            gather_row(Tier::Scalar, &in_row, &g, &mut want);
-            for tier in tiers() {
-                let mut got = vec![0u32; len];
-                gather_row_affine(tier, &in_row, &aff, row_base, j0, &mut got);
-                assert_eq!(got, want, "{tier:?} j0={j0} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn gather_row_affine_u64_and_u128_match() {
-        let lo = [2u32, 1, 8, 4]; // swap bit pairs
-        let aff = AffineRow::new(&lo);
-        let cols = 1usize << lo.len();
-        let row64: Vec<u64> = (0..cols as u64).map(|v| v << 32 | v).collect();
-        let row128: Vec<u128> = (0..cols as u128).map(|v| v << 64 | v).collect();
-        for (j0, len) in [(0, cols), (1, 6), (2, 13), (9, 7)] {
-            let g = affine_map(&lo, 0, j0, len);
-            for tier in tiers() {
-                let mut got64 = vec![0u64; len];
-                gather_row_affine(tier, &row64, &aff, 0, j0, &mut got64);
-                assert!(
-                    got64
-                        .iter()
-                        .zip(&g)
-                        .all(|(&v, &gi)| v == row64[gi as usize]),
-                    "{tier:?} j0={j0} len={len}"
-                );
-                let mut got128 = vec![0u128; len];
-                gather_row_affine(tier, &row128, &aff, 0, j0, &mut got128);
-                assert!(
-                    got128
-                        .iter()
-                        .zip(&g)
-                        .all(|(&v, &gi)| v == row128[gi as usize]),
-                    "{tier:?} j0={j0} len={len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gather_row_affine_short_rows_fall_back_cleanly() {
-        // 2 in-row bits: below the AVX2 lane minimum for u32, so every
-        // tier must take a working path.
-        let lo = [1u32, 2];
-        let aff = AffineRow::new(&lo);
-        let in_row = [10u32, 11, 12, 13];
-        for tier in tiers() {
-            let mut out = vec![0u32; 4];
-            gather_row_affine(tier, &in_row, &aff, 0, 0, &mut out);
-            assert_eq!(out, &in_row[..], "{tier:?}");
-        }
     }
 
     #[test]

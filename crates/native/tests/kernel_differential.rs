@@ -6,8 +6,10 @@
 //! makes: for a fixed plan, **every** kernel config — SIMD on or off,
 //! staging depth 1 or 2, any block size or tile — produces output
 //! byte-identical to the `Permutation::permute` oracle, over all five
-//! paper families × element widths {u32, u64, [u8; 16]} × ragged shapes
-//! (non-multiple bands, block tails, n smaller than one block). Every
+//! paper families plus a random affine map (the one structured case
+//! with a nonzero offset) × element widths {u32, u64, [u8; 16]} × ragged
+//! shapes (non-multiple bands, block tails, n smaller than one block or
+//! one tile of the structured one-sweep kernel). Every
 //! (config, plan) cell runs on **every registered backend** through the
 //! `hmm_backend::Backend` registry — the same seam the conformance suite
 //! forces routes through — so the native fused pipeline and the sweep-IR
@@ -91,11 +93,19 @@ fn check_all_configs<T>(p: &Permutation, label: &str, make: impl Fn(usize) -> T)
 where
     T: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static,
 {
+    check_all_configs_at(W, p, label, make);
+}
+
+/// [`check_all_configs`] on a plan built for machine width `width`.
+fn check_all_configs_at<T>(width: usize, p: &Permutation, label: &str, make: impl Fn(usize) -> T)
+where
+    T: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static,
+{
     let n = p.len();
     let src: Vec<T> = (0..n).map(make).collect();
     let mut want = vec![T::default(); n];
     p.permute(&src, &mut want).unwrap();
-    let ir = PlanIr::build(p, W).unwrap();
+    let ir = PlanIr::build(p, width).unwrap();
     for backend in backend_names() {
         for (name, cfg) in config_points() {
             let dst = exec_scheduled(backend, &ir, cfg, &src);
@@ -107,12 +117,24 @@ where
     }
 }
 
+/// The five paper families plus a random affine (BMMC) map. Every
+/// structured paper family has a zero affine offset; `random_bmmc` has a
+/// nonzero one, so it is the case that exercises the tiled sweep's
+/// per-tile XOR of the low source bits.
+fn families_and_random_bmmc(n: usize, seed: u64) -> Vec<(&'static str, Permutation)> {
+    let mut all: Vec<(&'static str, Permutation)> = families::Family::ALL
+        .iter()
+        .map(|fam| (fam.name(), fam.build(n, seed).unwrap()))
+        .collect();
+    all.push(("random_bmmc", families::random_bmmc(n, seed).unwrap()));
+    all
+}
+
 #[test]
 fn all_families_u32() {
     for n in [1 << 10, 1 << 11, 1 << 13] {
-        for fam in families::Family::ALL {
-            let p = fam.build(n, 0xd1ff).unwrap();
-            check_all_configs(&p, fam.name(), |i| (i as u32).wrapping_mul(2654435761));
+        for (name, p) in families_and_random_bmmc(n, 0xd1ff) {
+            check_all_configs(&p, name, |i| (i as u32).wrapping_mul(2654435761));
         }
     }
 }
@@ -120,11 +142,8 @@ fn all_families_u32() {
 #[test]
 fn all_families_u64() {
     for n in [1 << 10, 1 << 11, 1 << 13] {
-        for fam in families::Family::ALL {
-            let p = fam.build(n, 0xd1ff).unwrap();
-            check_all_configs(&p, fam.name(), |i| {
-                (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            });
+        for (name, p) in families_and_random_bmmc(n, 0xd1ff) {
+            check_all_configs(&p, name, |i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         }
     }
 }
@@ -134,9 +153,8 @@ fn all_families_16_byte_elements() {
     // 16-byte elements have no AVX2 gather/transpose — they exercise the
     // unrolled clamped tier and the widest staging-arena stride.
     for n in [1 << 10, 1 << 11] {
-        for fam in families::Family::ALL {
-            let p = fam.build(n, 0xd1ff).unwrap();
-            check_all_configs(&p, fam.name(), |i| {
+        for (name, p) in families_and_random_bmmc(n, 0xd1ff) {
+            check_all_configs(&p, name, |i| {
                 ((i as u128).wrapping_mul(0x0123_4567_89ab_cdef)).to_le_bytes()
             });
         }
@@ -155,19 +173,16 @@ fn n_smaller_than_one_block() {
 #[test]
 fn tiny_matrices_every_width() {
     // 2^6..2^9: rows smaller than a tile, bands smaller than a block —
-    // the all-edges regime. Width 8 keeps these schedulable.
+    // the all-edges regime. Width 8 keeps these schedulable. For the
+    // structured families log2 n < 2t at every element width, so one
+    // tile of the tiled sweep covers the whole array.
     for exp in 6..=9 {
         let n = 1usize << exp;
-        let p = families::random(n, exp as u64);
-        let src: Vec<u32> = (0..n as u32).collect();
-        let mut want = vec![0u32; n];
-        p.permute(&src, &mut want).unwrap();
-        let ir = PlanIr::build(&p, 8).unwrap();
-        for backend in backend_names() {
-            for (name, cfg) in config_points() {
-                let dst = exec_scheduled(backend, &ir, cfg, &src);
-                assert_eq!(dst, want, "{backend}/{name}, n = {n}");
-            }
+        for (name, p) in families_and_random_bmmc(n, exp as u64) {
+            let label = format!("{name}, n = {n}");
+            check_all_configs_at(8, &p, &label, |i| i as u32);
+            check_all_configs_at(8, &p, &label, |i| (i as u64) << 32 | i as u64);
+            check_all_configs_at(8, &p, &label, |i| (i as u128).to_le_bytes());
         }
     }
 }

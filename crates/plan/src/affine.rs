@@ -11,8 +11,10 @@
 //! ```
 //!
 //! An [`AffineStep`] is that function as data — `O(log n)` words instead
-//! of the `O(n)` materialized map — and is what the computed-index
-//! kernels evaluate in registers instead of loading `g[p]` from memory.
+//! of the `O(n)` materialized map. The interpreter and the WGSL kernels
+//! evaluate it per element instead of loading `g[p]` from memory; the
+//! native backend chains all three into the plan's whole source map
+//! ([`crate::PlanIr::source_bmmc`]) and runs that as one tiled sweep.
 //! Descriptors are **fit from the materialized map and verified against
 //! every entry** (the same probe-then-Gray-walk scheme as
 //! `Permutation::as_bmmc`), so an attached descriptor is exact by

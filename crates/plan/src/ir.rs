@@ -662,6 +662,31 @@ impl PlanIr {
         ]
     }
 
+    /// The plan's whole source map as one affine bit map `s`, with
+    /// `dst[y] = src[s(y)]` — the inverse of the realised permutation —
+    /// or `None` for König-colored plans (no descriptors).
+    ///
+    /// **Derived**, never serialised: each descriptor pass maps an output
+    /// position to its input position in closed form, so chaining pass
+    /// 3 → 2 → 1 at `y = 0` (the offset) and at each `y = 2^b` (the
+    /// columns) costs O(log² n) — no O(n) walk — and a plan loaded from
+    /// the store derives exactly the map of the plan that was saved.
+    pub fn source_bmmc(&self) -> Option<Bmmc> {
+        let steps = self.affine.as_ref()?;
+        let layouts = self.pass_layouts();
+        let source = |y: usize| {
+            steps
+                .iter()
+                .zip(layouts)
+                .rev()
+                .fold(y, |q, (step, layout)| layout.source_of(step, q))
+        };
+        let offset = source(0);
+        let bits = self.len().trailing_zeros();
+        let cols = (0..bits).map(|b| source(1 << b) ^ offset).collect();
+        Bmmc::from_cols(cols, offset).ok()
+    }
+
     /// Flat destination of source index `idx` under the composed three
     /// steps.
     #[inline]
@@ -813,6 +838,19 @@ impl PassLayout {
     /// `1..=rows`.
     pub fn staging_rows(&self, elem_bytes: usize, stage_bytes: usize, band_cols: usize) -> usize {
         (stage_bytes / (band_cols * elem_bytes).max(1)).clamp(1, self.rows.max(1))
+    }
+
+    /// The input position this pass reads for output position `q`, with
+    /// `step` the pass's gather descriptor: a fused pass writes its
+    /// `rows × cols` view transposed, so `q = j·rows + i` reads row `i`
+    /// at `g[i·cols + j]`; an unfused pass reads row `q / cols`.
+    fn source_of(&self, step: &AffineStep, q: usize) -> usize {
+        let p = if self.fused_transpose {
+            (q % self.rows) * self.cols + q / self.rows
+        } else {
+            q
+        };
+        p - p % self.cols + step.eval(p) as usize
     }
 }
 

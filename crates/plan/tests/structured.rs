@@ -89,6 +89,49 @@ fn structured_plans_round_trip_codec_and_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The derived whole-plan source map (`PlanIr::source_bmmc`) is the
+/// inverse of the permutation's own affine map — for built plans, for
+/// plans after a compact (descriptor-only) codec round trip, and for
+/// fused plans — and König plans have none.
+#[test]
+fn source_bmmc_is_the_inverse_affine_map() {
+    for n in [1 << 10, 1 << 12, 1 << 16] {
+        let mut structured: Vec<(&str, Permutation)> = Family::ALL
+            .iter()
+            .filter(|fam| **fam != Family::Random)
+            .map(|fam| (fam.name(), fam.build(n, 0).unwrap()))
+            .collect();
+        structured.push(("random_bmmc", families::random_bmmc(n, n as u64).unwrap()));
+        let plans: Vec<PlanIr> = structured
+            .iter()
+            .map(|(_, p)| PlanIr::build(p, W).unwrap())
+            .collect();
+        for ((name, p), ir) in structured.iter().zip(&plans) {
+            let want = p.as_bmmc().unwrap().inverse();
+            assert_eq!(ir.source_bmmc(), Some(want.clone()), "{name} n={n}");
+            let bytes = hmm_plan::encode(ir);
+            assert_eq!(bytes.len(), hmm_plan::compact_encoded_len(n), "{name}");
+            let decoded = hmm_plan::decode(&bytes).unwrap();
+            assert_eq!(decoded.source_bmmc(), Some(want), "{name} n={n} decoded");
+        }
+        // Every fused pair of structured plans ("first, then second").
+        for ((n1, p1), ir1) in structured.iter().zip(&plans) {
+            for ((n2, p2), ir2) in structured.iter().zip(&plans) {
+                let fused = ir2.compose(ir1).unwrap();
+                let want = p2.compose(p1).as_bmmc().unwrap().inverse();
+                assert_eq!(fused.source_bmmc(), Some(want), "{n2} ∘ {n1} n={n}");
+            }
+        }
+        let shape = scheduled_shape(n, W).unwrap();
+        let random = families::random(n, 3);
+        let koenig = PlanIr::build(&random, W).unwrap();
+        assert_eq!(koenig.source_bmmc(), None, "random n={n}");
+        let forced = &structured[1].1;
+        let forced = PlanIr::build_for_shape(forced, shape, W, ColoringStrategy::Hybrid).unwrap();
+        assert_eq!(forced.source_bmmc(), None, "forced König n={n}");
+    }
+}
+
 /// One permutation drawn from the full mix: structured families and
 /// general (random) permutations, so composition exercises the
 /// matrix-product path, the plan-once path, and the mixed path.
