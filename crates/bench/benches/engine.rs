@@ -1,17 +1,17 @@
 //! Throughput-engine benchmarks: what the plan cache and the fused sweeps
 //! buy on the steady-state path.
 //!
-//! Four measurements per size (random permutations — the high-γ workload):
-//! * `cached`          — `Engine::permute` with a warm cache (the product path);
+//! Three measurements per size (random permutations — the high-γ workload):
+//! * `cached`          — `SharedEngine::permute` with a warm cache (the
+//!   product path);
 //! * `rebuild`         — plan built from scratch on every call (no cache);
-//! * `fused_run`       — one fused 3-sweep execution, plan + scratch prebuilt;
-//! * `unfused_run`     — the 5-pass reference execution.
+//! * `fused_run`       — one fused 3-sweep execution, plan + scratch prebuilt.
 //!
 //! Plus `plan_build` (the König coloring + gather-map cost the cache
 //! amortises) and one `scatter` row as the crossover baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hmm_native::{scatter_permute, Engine, NativeScheduled};
+use hmm_native::{scatter_permute, NativeScheduled, SharedEngine};
 use hmm_perm::families;
 
 const W: usize = 32;
@@ -34,7 +34,7 @@ fn bench_engine(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.sample_size(10);
 
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         engine.permute(&p, &src, &mut dst).unwrap(); // warm the cache
         group.bench_with_input(BenchmarkId::new("cached", n), &p, |b, p| {
             b.iter(|| engine.permute(p, &src, &mut dst).unwrap())
@@ -51,9 +51,6 @@ fn bench_engine(c: &mut Criterion) {
         let mut scratch = vec![0u32; sched.scratch_len()];
         group.bench_function(BenchmarkId::new("fused_run", n), |b| {
             b.iter(|| sched.run_with_scratch(&src, &mut dst, &mut scratch))
-        });
-        group.bench_function(BenchmarkId::new("unfused_run", n), |b| {
-            b.iter(|| sched.run_unfused(&src, &mut dst))
         });
 
         group.bench_with_input(BenchmarkId::new("plan_build", n), &p, |b, p| {

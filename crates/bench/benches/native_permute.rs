@@ -1,6 +1,5 @@
 //! Wall-clock Table II analog on the CPU backend: direct scatter/gather vs
-//! the fused three-sweep scheduled permutation (plus the unfused five-pass
-//! reference), per permutation family and size.
+//! the fused scheduled permutation, per permutation family and size.
 //!
 //! Sizes default to 64K–4M; set `HMM_BENCH_FULL=1` for 16M (the working
 //! set where the scheduled passes' cache behaviour matters most).
@@ -42,11 +41,6 @@ fn bench_native(c: &mut Criterion) {
                 BenchmarkId::new("scheduled", fam.name()),
                 &sched,
                 |b, sched| b.iter(|| sched.run_with_scratch(&src, &mut dst, &mut scratch)),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("scheduled_unfused", fam.name()),
-                &sched,
-                |b, sched| b.iter(|| sched.run_unfused(&src, &mut dst)),
             );
         }
         group.finish();

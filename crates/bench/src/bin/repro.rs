@@ -465,7 +465,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             print!("{}", native_experiments::render(&report.rows));
             println!("\n=== Per-sweep: SIMD double-buffered pipeline vs scalar (random) ===\n");
             print!("{}", native_experiments::render_sweeps(&report.sweep_rows));
-            println!("\n=== Plan cache: cached Engine::permute vs rebuild-per-call ===\n");
+            println!("\n=== Plan cache: cached SharedEngine::permute vs rebuild-per-call ===\n");
             print!("{}", native_experiments::render_plan(&report.plan_rows));
             println!("\n=== Plan store: cold build+save vs cold-engine load ===\n");
             print!("{}", native_experiments::render_store(&report.store_rows));

@@ -3,9 +3,10 @@
 //! substitution for the paper's GPU measurements).
 //!
 //! Four experiment groups:
-//! * **kernels** — scatter / gather / fused 3-sweep scheduled / unfused
-//!   5-pass scheduled / copy, per family and size;
-//! * **plan cache** — steady-state `Engine::permute` (plan cached, pooled
+//! * **kernels** — scatter / gather / scheduled (fused sweeps) / copy,
+//!   per family and size (the unfused five-step schedule is timed by
+//!   `repro backends` as the `interp` backend);
+//! * **plan cache** — steady-state `SharedEngine::permute` (plan cached, pooled
 //!   scratch) versus rebuilding the plan on every call;
 //! * **plan store** — cold König build-and-save versus a cold engine
 //!   loading the same plan from a warm on-disk store (the cross-process
@@ -26,8 +27,8 @@
 use crate::tables::{size_label, TextTable};
 use hmm_native::par::worker_threads;
 use hmm_native::{
-    copy_baseline, gather_permute, scatter_permute, Engine, ExecPlan, KernelConfig,
-    NativeScheduled, SharedEngine,
+    copy_baseline, gather_permute, scatter_permute, ExecPlan, KernelConfig, NativeScheduled,
+    SharedEngine,
 };
 use hmm_offperm::Result;
 use hmm_perm::families::{self, Family};
@@ -62,10 +63,8 @@ pub struct NativeRow {
     pub scatter: Duration,
     /// Parallel gather (`dst[i] = src[q[i]]`).
     pub gather: Duration,
-    /// Fused three-sweep scheduled permutation (scratch reused).
+    /// Scheduled permutation, fused sweeps (scratch reused).
     pub scheduled: Duration,
-    /// Unfused five-pass scheduled permutation (the seed execution).
-    pub unfused: Duration,
     /// Plain parallel copy (bandwidth ceiling).
     pub copy: Duration,
 }
@@ -138,7 +137,7 @@ pub struct PlanCacheRow {
     pub n: usize,
     /// One plan build (König coloring + gather maps).
     pub build: Duration,
-    /// Steady-state `Engine::permute` (cache hit, pooled scratch).
+    /// Steady-state `SharedEngine::permute` (cache hit, pooled scratch).
     pub cached: Duration,
     /// Rebuild-per-call: plan build + one run, no cache.
     pub rebuild: Duration,
@@ -517,7 +516,7 @@ const QUEUED_CHUNK: usize = 2;
 /// engine, plans pre-warmed, `threads` submitters each pushing
 /// `jobs_per_thread` jobs of a mixed-family working set. The blocking
 /// mode is restricted by its API to sequential convoys: one
-/// `permute_batch` of [`QUEUED_CHUNK`] jobs at a time, the submitter
+/// `permute_batch` of `QUEUED_CHUNK` jobs at a time, the submitter
 /// parked until the whole chunk lands before it may issue the next, a
 /// fresh permutation hand-off per call. The queued mode exploits the
 /// asynchronous API: each submitter fires its entire workload in a
@@ -654,7 +653,6 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
             let scheduled = median_time(reps, || {
                 sched.run_with_scratch(&src, &mut dst, &mut scratch)
             });
-            let unfused = median_time(reps, || sched.run_unfused(&src, &mut dst));
             let copy = median_time(reps, || copy_baseline(&src, &mut dst));
             rows.push(NativeRow {
                 family: fam.name(),
@@ -662,7 +660,6 @@ pub fn run(sizes: &[usize], reps: usize) -> Result<Vec<NativeRow>> {
                 scatter,
                 gather,
                 scheduled,
-                unfused,
                 copy,
             });
         }
@@ -682,7 +679,7 @@ pub fn plan_cache(sizes: &[usize], reps: usize) -> Result<Vec<PlanCacheRow>> {
             let plan = NativeScheduled::build(&p, W).unwrap();
             std::hint::black_box(&plan);
         });
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         engine.permute(&p, &src, &mut dst)?; // warm the cache
         let cached = median_time(reps, || engine.permute(&p, &src, &mut dst).unwrap());
         let rebuild = median_time(reps.min(3), || {
@@ -820,7 +817,6 @@ pub fn render(rows: &[NativeRow]) -> String {
         "scatter",
         "gather",
         "sched(fused)",
-        "sched(5-pass)",
         "copy",
     ]);
     for r in rows {
@@ -830,7 +826,6 @@ pub fn render(rows: &[NativeRow]) -> String {
             format!("{:.2?}", r.scatter),
             format!("{:.2?}", r.gather),
             format!("{:.2?}", r.scheduled),
-            format!("{:.2?}", r.unfused),
             format!("{:.2?}", r.copy),
         ]);
     }
@@ -1096,7 +1091,16 @@ pub fn render_queued(rows: &[QueuedRow]) -> String {
     t.render()
 }
 
-fn json_row_raw(out: &mut String, family: &str, n: usize, backend: &str, secs: f64, eps: f64) {
+/// Append one `BENCH_native.json` row object (no trailing comma or
+/// newline) — the one row format every writer of the file uses.
+pub(crate) fn json_row_raw(
+    out: &mut String,
+    family: &str,
+    n: usize,
+    backend: &str,
+    secs: f64,
+    eps: f64,
+) {
     out.push_str(&format!(
         "    {{\"family\": \"{family}\", \"n\": {n}, \"backend\": \"{backend}\", \
          \"seconds\": {secs:.9}, \"elements_per_sec\": {eps:.1}}}"
@@ -1123,7 +1127,6 @@ pub fn to_json(report: &NativeReport) -> String {
             ("scatter", r.scatter),
             ("gather", r.gather),
             ("scheduled", r.scheduled),
-            ("scheduled_unfused", r.unfused),
             ("copy", r.copy),
         ] {
             if !first {
@@ -1271,7 +1274,11 @@ pub fn merge_computed_json(existing: Option<&str>, rows: &[ComputedRow]) -> Stri
 /// does not contain `drop_marker`, then append `new_rows`. Starts a
 /// fresh document when `existing` is `None` or not in [`to_json`]'s
 /// shape.
-fn merge_rows_json(existing: Option<&str>, drop_marker: &str, new_rows: Vec<String>) -> String {
+pub(crate) fn merge_rows_json(
+    existing: Option<&str>,
+    drop_marker: &str,
+    new_rows: Vec<String>,
+) -> String {
     let rebuild = |head: &str, kept: Vec<String>| {
         let mut out = String::from(head);
         out.push('\n');
@@ -1343,15 +1350,15 @@ mod tests {
         assert!(sweep_table.contains("row-pass"));
         assert!(sweep_table.contains("total"));
         let json = to_json(&report);
-        // 5 families x 5 backends + 8 sweep rows + 3 plan-cache rows
+        // 5 families x 4 backends + 8 sweep rows + 3 plan-cache rows
         // + 2 plan-store rows + 2 plan-build rows + 2 contended rows
         // + 2 queued rows.
-        assert_eq!(json.matches("\"backend\"").count(), 44);
+        assert_eq!(json.matches("\"backend\"").count(), 39);
         for key in [
             "\"bench\": \"native\"",
             "\"threads\"",
             "\"elements_per_sec\"",
-            "\"scheduled_unfused\"",
+            "\"scheduled\"",
             "\"sweep_gather\"",
             "\"sweep_transpose_scalar\"",
             "\"sweep_row\"",
@@ -1431,7 +1438,7 @@ mod tests {
             twice.matches("\"backend\": \"computed_").count(),
             "re-merging must not duplicate computed rows"
         );
-        assert!(once.contains("\"scheduled_unfused\""));
+        assert!(once.contains("\"scheduled\""));
         assert_eq!(twice.matches('{').count(), twice.matches('}').count());
 
         // A fresh document (no prior native run) is still well formed.
@@ -1465,7 +1472,7 @@ mod tests {
             once.matches("\"backend\"").count(),
             "non-backend rows must survive the merge"
         );
-        assert!(once.contains("\"scheduled_unfused\""));
+        assert!(once.contains("\"scheduled\""));
         assert_eq!(twice.matches('{').count(), twice.matches('}').count());
     }
 }

@@ -17,6 +17,7 @@ use std::process::{Command, Stdio};
 
 use hmm_server::{Server, ServerConfig};
 
+use crate::native_experiments::{json_row_raw, merge_rows_json};
 use crate::tables::{size_label, TextTable};
 
 /// One aggregated measurement: N clients × one family × one size.
@@ -164,37 +165,13 @@ pub fn merge_serve_json(existing: Option<&str>, rows: &[ServeRow]) -> String {
     let new_rows: Vec<String> = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"family\": \"{}\", \"n\": {}, \"backend\": \"server_{}c\", \
-                 \"seconds\": {:.9}, \"elements_per_sec\": {:.1}}}",
-                r.family, r.n, r.clients, r.seconds, r.eps
-            )
+            let mut s = String::new();
+            let backend = format!("server_{}c", r.clients);
+            json_row_raw(&mut s, r.family, r.n, &backend, r.seconds, r.eps);
+            s
         })
         .collect();
-    let rebuild = |head: &str, kept: Vec<String>| {
-        let mut out = String::from(head);
-        out.push('\n');
-        let all: Vec<String> = kept.into_iter().chain(new_rows.iter().cloned()).collect();
-        out.push_str(&all.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
-    };
-    match existing.and_then(|doc| doc.find("\"rows\": [").map(|at| (doc, at))) {
-        Some((doc, at)) => {
-            let start = at + "\"rows\": [".len();
-            let kept: Vec<String> = doc[start..]
-                .lines()
-                .filter(|l| l.trim_start().starts_with('{'))
-                .filter(|l| !l.contains("\"backend\": \"server_"))
-                .map(|l| l.trim_end().trim_end_matches(',').to_string())
-                .collect();
-            rebuild(&doc[..start], kept)
-        }
-        None => rebuild(
-            "{\n  \"bench\": \"native\",\n  \"threads\": 1,\n  \"reps\": 0,\n  \"rows\": [",
-            Vec::new(),
-        ),
-    }
+    merge_rows_json(existing, "\"backend\": \"server_", new_rows)
 }
 
 #[cfg(test)]

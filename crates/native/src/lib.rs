@@ -13,15 +13,15 @@
 //!   shared with the simulator and the on-disk plan store; plans with
 //!   affine descriptors run instead as one tiled sweep that reads and
 //!   writes whole 256-byte runs (`tiled`);
-//! * [`plan::SharedEngine`] — the concurrent front door: a thread-safe
+//! * [`plan::SharedEngine`] — the crate's one engine: a thread-safe
 //!   plan service (`&self` from any number of threads) with a sharded LRU
 //!   cache, single-flight plan construction, verified (collision-proof)
 //!   hits, a lock-free scratch pool, a distribution-based scatter
 //!   fallback (optionally calibrated per host, `HMM_NATIVE_CALIBRATE=1`),
 //!   and an optional tier-2 on-disk plan store
 //!   ([`plan::SharedEngine::with_store`]) so a cold process skips the
-//!   König coloring — [`plan::Engine`] keeps the original single-threaded
-//!   API as a thin wrapper over one shard;
+//!   König coloring. Every blocking front door answers a buffer-length
+//!   mistake with a typed `PlanError::SizeMismatch`;
 //! * [`queue`] — asynchronous queued submission on top of the engine:
 //!   [`plan::SharedEngine::submit`] / [`plan::SharedEngine::submit_batch`]
 //!   enqueue jobs on a bounded MPMC queue and return [`queue::JobHandle`]s
@@ -31,14 +31,16 @@
 //! * [`backend`] — the process backend registry over `hmm-backend`'s
 //!   [`Backend`] trait: [`backend::NativeBackend`] (this crate's kernels)
 //!   and the `hmm-backend` sweep-IR interpreter are both registered, the
-//!   engines dispatch every execution through the trait, and
-//!   `HMM_BACKEND=interp` redirects a whole process without a recompile;
+//!   engine dispatches every execution through the trait, and
+//!   `HMM_BACKEND=interp` redirects a whole process without a recompile.
+//!   The interpreter runs the paper's literal five steps (row,
+//!   transpose, row, transpose, row) and is the unfused reference the
+//!   fused sweeps are tested against;
 //! * [`config::KernelConfig`] — the sweep-kernel tuning seam (staging
 //!   block size, double-buffer depth, SIMD and prefetch switches,
 //!   `HMM_NATIVE_SIMD=0` to force the scalar reference; re-exported from
 //!   `hmm-backend`, where the strict warn-once env parsing lives) threaded
-//!   through every front door: blocking calls, the shared engine, and the
-//!   queue drainers;
+//!   through every front door: blocking calls and the queue drainers;
 //! * [`pool`] / [`par`] — a persistent worker pool (created once per
 //!   process) and the chunked parallel-for primitives built on it
 //!   (`rayon` is not on this reproduction's offline dependency list).
@@ -77,7 +79,7 @@ pub use config::{KernelConfig, COMPUTED_INDEX_ENV, SIMD_ENV};
 pub use hmm_backend::{Backend, Capabilities, ExecPlan, Executable, InterpBackend, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
-pub use plan::{Engine, EngineStats, PermutePlan, SharedEngine, CALIBRATE_ENV};
+pub use plan::{EngineStats, PermutePlan, SharedEngine, CALIBRATE_ENV};
 pub use queue::{BatchHandle, JobError, JobHandle, JobReport, DEFAULT_QUEUE_CAPACITY};
 pub use scatter::{copy_baseline, gather_permute, scatter_permute};
 pub use scheduled::NativeScheduled;

@@ -8,18 +8,14 @@
 //! LRU keyed by a 64-bit fingerprint of the permutation, and keeps a small
 //! pool of scratch buffers so steady-state calls allocate nothing.
 //!
-//! Two front doors share that machinery:
-//!
-//! * [`SharedEngine`] — the concurrent plan service: usable as `&self`
-//!   from any number of threads, with a **sharded** `RwLock` LRU (readers
-//!   never contend across shards), **single-flight** plan construction
-//!   (N threads requesting the same uncached permutation pay one König
-//!   coloring; the rest wait on that build, not on the cache), a
-//!   **lock-free** scratch-buffer pool, and [`EngineStats`] counters kept
-//!   on atomics so they are readable without locking.
-//! * [`Engine`] — the original single-threaded front door, kept as a thin
-//!   wrapper over a one-shard [`SharedEngine`] so existing call sites and
-//!   the exact LRU semantics are unchanged.
+//! [`SharedEngine`] is that front door: a concurrent plan service usable
+//! as `&self` from any number of threads, with a **sharded** `RwLock` LRU
+//! (readers never contend across shards; one shard gives a global LRU),
+//! **single-flight** plan construction (N threads requesting the same
+//! uncached permutation pay one König coloring; the rest wait on that
+//! build, not on the cache), a **lock-free** scratch-buffer pool, and
+//! [`EngineStats`] counters kept on atomics so they are readable without
+//! locking.
 //!
 //! Every cache hit verifies the stored permutation against the requested
 //! one: a 64-bit fingerprint collision is therefore *detected* rather
@@ -72,8 +68,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock, Weak};
 use std::time::{Duration, Instant};
 
-/// Default per-shard LRU capacity (plans held at once per shard; the
-/// single-shard [`Engine`] therefore defaults to 8 plans total).
+/// Default per-shard LRU capacity (plans held at once per shard).
 pub const DEFAULT_CAPACITY: usize = 8;
 
 /// Default shard count for [`SharedEngine::new`].
@@ -253,22 +248,6 @@ impl<T> std::fmt::Debug for PermutePlan<T> {
 }
 
 impl<T: Copy + Send + Sync + Default + 'static> PermutePlan<T> {
-    /// Build a plan on the process-default backend, measuring γ_w(P) to
-    /// pick the route.
-    pub fn build(p: &Permutation, width: usize, gamma_threshold: f64) -> Result<Self> {
-        let backend = crate::backend::default_backend::<T>();
-        let gamma = distribution(p, width);
-        if gamma <= gamma_threshold && backend.capabilities().scatter {
-            Self::scatter_on(&*backend, p, gamma, KernelConfig::global())
-        } else {
-            Self::from_ir_on(
-                &*backend,
-                &PlanIr::build_par(p, width, crate::par::worker_threads())?,
-                KernelConfig::global(),
-            )
-        }
-    }
-
     /// Wrap an already-built backend-neutral [`PlanIr`] as a scheduled
     /// plan — no König coloring happens here. The permutation the plan
     /// answers for is recomposed from the IR's own three passes, so the
@@ -278,21 +257,12 @@ impl<T: Copy + Send + Sync + Default + 'static> PermutePlan<T> {
     /// process-wide [`KernelConfig::global`]. Fails with a typed error
     /// when the IR violates its contract (`PlanIr::validate`).
     pub fn from_ir(ir: &PlanIr) -> Result<Self> {
-        Self::from_ir_with(ir, KernelConfig::global())
-    }
-
-    /// [`from_ir`](Self::from_ir) with an explicit kernel config — the
-    /// seam through which the engines thread their (possibly calibrated
-    /// or caller-overridden) config into every scheduled execution,
-    /// whichever front door ran it: blocking `permute`, `permute_batch`,
-    /// or the queue drainers behind `submit`.
-    pub fn from_ir_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
-        Self::from_ir_on(&*crate::backend::default_backend::<T>(), ir, config)
-    }
-
-    /// Prepare a scheduled plan for this IR on an explicit backend.
-    pub fn from_ir_on(backend: &dyn Backend<T>, ir: &PlanIr, config: KernelConfig) -> Result<Self> {
-        Self::scheduled_on(backend, ir, ir.recompose(), config)
+        Self::scheduled_on(
+            &*crate::backend::default_backend::<T>(),
+            ir,
+            ir.recompose(),
+            KernelConfig::global(),
+        )
     }
 
     /// Prepare a scheduled plan for `ir` that answers for `permutation`,
@@ -313,7 +283,7 @@ impl<T: Copy + Send + Sync + Default + 'static> PermutePlan<T> {
     }
 
     /// Prepare a scatter plan on an explicit backend.
-    pub fn scatter_on(
+    fn scatter_on(
         backend: &dyn Backend<T>,
         p: &Permutation,
         gamma: f64,
@@ -715,8 +685,8 @@ impl<T> QueueRuntime<T> {
     }
 }
 
-/// The concurrent plan service: a thread-safe [`Engine`] usable as `&self`
-/// from any number of threads.
+/// The throughput front door: an LRU plan cache plus a scratch-buffer
+/// pool, usable as `&self` from any number of threads.
 ///
 /// * **Sharded LRU** — entries are distributed over [`SharedEngine::shards`]
 ///   independent `RwLock`ed maps by fingerprint, so lookups from different
@@ -830,8 +800,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Engine with explicit sharding: `shards` independent LRU maps of
-    /// `per_shard_capacity` plans each (both ≥ 1). One shard reproduces
-    /// the single-threaded [`Engine`]'s global LRU exactly.
+    /// `per_shard_capacity` plans each (both ≥ 1). One shard gives a
+    /// single global LRU over every cached plan.
     pub fn with_shards(width: usize, shards: usize, per_shard_capacity: usize) -> Self {
         Self::with_parts(
             width,
@@ -896,13 +866,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         let mut engine = Self::with_shards(width, DEFAULT_SHARDS, DEFAULT_CAPACITY);
         engine.core_mut().store = Some(PlanStore::open(dir)?);
         Ok(engine)
-    }
-
-    /// Attach (or replace) the on-disk plan store after construction.
-    /// Requires sole ownership (call before cloning the engine or
-    /// submitting queued jobs).
-    pub fn set_store(&mut self, store: PlanStore) {
-        self.core_mut().store = Some(store);
     }
 
     /// The attached on-disk plan store, if any.
@@ -1002,14 +965,6 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// Registry name of the backend this engine prepares plans on.
     pub fn backend_name(&self) -> &'static str {
         self.core.backend.name()
-    }
-
-    /// Replace the execution backend. Requires sole ownership (call
-    /// before cloning the engine, caching plans, or submitting queued
-    /// jobs) — cached plans belong to the backend that prepared them, so
-    /// swapping mid-flight would mix executables across backends.
-    pub fn set_backend(&mut self, backend: Arc<dyn Backend<T>>) {
-        self.core_mut().backend = backend;
     }
 
     /// Counters since construction — a lock-free snapshot.
@@ -1315,11 +1270,11 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Execute `dst[P[i]] = src[i]` through the cache: plan lookup (or
-    /// single-flight build), pooled scratch, backend dispatch.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != dst.len()` or either differs from `p.len()`.
+    /// single-flight build), pooled scratch, backend dispatch. Buffers
+    /// whose length differs from `p.len()` are refused with
+    /// [`PlanError::SizeMismatch`] before anything is planned.
     pub fn permute(&self, p: &Permutation, src: &[T], dst: &mut [T]) -> Result<()> {
+        check_len(p.len(), src.len(), dst.len())?;
         let plan = self.plan(p)?;
         self.run_plan(&plan, src, dst);
         Ok(())
@@ -1342,29 +1297,28 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     ///
     /// [`PermError::LengthMismatch`]: hmm_perm::PermError::LengthMismatch
     pub fn plan_fused(&self, chain: &[&Permutation]) -> Result<Arc<PermutePlan<T>>> {
-        let composite = Permutation::compose_chain(chain).map_err(hmm_plan::PlanError::from)?;
+        let composite = Permutation::compose_chain(chain).map_err(PlanError::from)?;
         self.plan(&composite)
     }
 
     /// Execute an entire permutation `chain` (application order, see
     /// [`SharedEngine::plan_fused`]) in one pass: `dst` receives what
     /// applying every link in sequence would have produced, without the
-    /// intermediate round trips.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != dst.len()` or either differs from the
-    /// chain's length.
+    /// intermediate round trips. Buffers whose length differs from the
+    /// chain's are refused with [`PlanError::SizeMismatch`] before
+    /// anything is planned.
     pub fn permute_fused(&self, chain: &[&Permutation], src: &[T], dst: &mut [T]) -> Result<()> {
-        let plan = self.plan_fused(chain)?;
-        self.run_plan(&plan, src, dst);
-        Ok(())
+        let composite = Permutation::compose_chain(chain).map_err(PlanError::from)?;
+        self.permute(&composite, src, dst)
     }
 
     /// Execute an already-fetched plan with pooled scratch. Plans that
     /// need no scratch ([`PermutePlan::scratch_len`] of 0 — every
     /// scatter plan) never touch (or allocate) the pool; others borrow a
     /// buffer of exactly the executable's declared size, whatever
-    /// backend prepared it.
+    /// backend prepared it. The caller owns the length contract here:
+    /// the executable panics on buffers that differ from
+    /// [`PermutePlan::len`].
     pub fn run_plan(&self, plan: &PermutePlan<T>, src: &[T], dst: &mut [T]) {
         let scratch_len = plan.scratch_len();
         if scratch_len == 0 {
@@ -1393,11 +1347,13 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// inline instead (waiting on the queue there could deadlock the
     /// pool's dispatch lock).
     ///
-    /// [`submit`]: SharedEngine::submit
+    /// Every member is checked before any is enqueued: one whose buffers
+    /// differ from `p.len()` fails the whole call with
+    /// [`PlanError::SizeMismatch`], with nothing planned or run. If a
+    /// member's execution panics, this call panics too, once every
+    /// member has resolved.
     ///
-    /// # Panics
-    /// Panics if any job's `src.len()` or `dst.len()` differs from
-    /// `p.len()`, or if a queued member's execution panics.
+    /// [`submit`]: SharedEngine::submit
     pub fn permute_batch<'a, I>(&self, p: &Permutation, jobs: I) -> Result<()>
     where
         I: IntoIterator<Item = (&'a [T], &'a mut [T])>,
@@ -1407,13 +1363,10 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         if jobs.is_empty() {
             return Ok(());
         }
-        // Validate every member before any pointer is enqueued, so the
-        // borrowed payloads below never outlive a panicking caller.
+        // Validate every member before any pointer is enqueued, so no
+        // borrowed payload is ever queued for a call that then fails.
         for (src, dst) in &jobs {
-            assert!(
-                src.len() == p.len() && dst.len() == p.len(),
-                "permute_batch: job buffers must match the permutation length"
-            );
+            check_len(p.len(), src.len(), dst.len())?;
         }
         if crate::pool::in_pool_task() {
             // Blocking on queue drainers from inside a pool task would
@@ -1570,10 +1523,8 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// cancellation, or an engine shutdown resolve it with the matching
     /// [`JobError`] instead of hanging the waiter. A size mismatch
     /// between `p`, `src`, and `dst` resolves the handle immediately
-    /// with [`PlanError::SizeMismatch`] (the blocking [`permute`] panics
-    /// instead).
-    ///
-    /// [`permute`]: SharedEngine::permute
+    /// with [`PlanError::SizeMismatch`] — the same error the blocking
+    /// front doors return.
     ///
     /// ```
     /// use hmm_native::SharedEngine;
@@ -1624,17 +1575,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         let state = JobState::new();
         let handle = JobHandle::new(Arc::clone(&state), Arc::clone(stats), id);
-        let (src_len, dst_len) = (payload.src_len(), payload.dst_len());
-        if src_len != p.len() || dst_len != p.len() {
+        if let Err(e) = check_len(p.len(), payload.src_len(), payload.dst_len()) {
             // Resolve without a queue round-trip; counters stay balanced
             // (`submitted == completed + cancelled`).
-            let got = if src_len != p.len() { src_len } else { dst_len };
             stats.completed.fetch_add(1, Ordering::Relaxed);
             state.begin();
-            state.finish(Err(JobError::Plan(PlanError::SizeMismatch {
-                expected: p.len(),
-                got,
-            })));
+            state.finish(Err(JobError::Plan(e)));
             return handle;
         }
         let job = QueuedJob { p, payload, state };
@@ -1687,6 +1633,18 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 }
 
+/// The length contract every front door shares: `src` and `dst` must
+/// both hold exactly `n` elements. A mismatch names the first offending
+/// buffer's length.
+fn check_len(n: usize, src_len: usize, dst_len: usize) -> Result<()> {
+    let got = if src_len != n { src_len } else { dst_len };
+    if got == n {
+        Ok(())
+    } else {
+        Err(PlanError::SizeMismatch { expected: n, got })
+    }
+}
+
 /// Render a caught panic payload for [`JobError::Panicked`].
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1715,163 +1673,6 @@ fn queue_drainer_loop<T: Copy + Send + Sync + Default + 'static>(
     }
 }
 
-/// The single-threaded throughput front door: an LRU plan cache plus a
-/// scratch-buffer pool. A thin wrapper over a one-shard [`SharedEngine`]
-/// (same cache, same LRU order, same counters) kept so existing `&mut
-/// self` call sites compile unchanged; new concurrent callers should use
-/// [`SharedEngine`] directly.
-///
-/// ```
-/// use hmm_native::Engine;
-/// use hmm_perm::families;
-///
-/// let mut engine: Engine<u32> = Engine::new(32);
-/// let p = families::random(1 << 12, 1);
-/// let src: Vec<u32> = (0..1u32 << 12).collect();
-/// let mut dst = vec![0u32; 1 << 12];
-/// engine.permute(&p, &src, &mut dst).unwrap(); // builds + caches the plan
-/// engine.permute(&p, &src, &mut dst).unwrap(); // cache hit, no allocation
-/// assert_eq!(engine.stats().hits, 1);
-/// ```
-pub struct Engine<T> {
-    inner: SharedEngine<T>,
-}
-
-impl<T: Copy + Send + Sync + Default + 'static> Engine<T> {
-    /// Engine with the given schedule width and default capacity/threshold.
-    pub fn new(width: usize) -> Self {
-        Self::with_capacity(width, DEFAULT_CAPACITY)
-    }
-
-    /// Engine with an explicit LRU capacity (≥ 1).
-    pub fn with_capacity(width: usize, capacity: usize) -> Self {
-        Engine {
-            inner: SharedEngine::with_shards(width, 1, capacity),
-        }
-    }
-
-    /// Engine with an on-disk tier-2 plan store (see
-    /// [`SharedEngine::with_store`]).
-    pub fn with_store(width: usize, dir: impl Into<PathBuf>) -> Result<Self> {
-        let mut inner = SharedEngine::with_shards(width, 1, DEFAULT_CAPACITY);
-        inner.set_store(PlanStore::open(dir)?);
-        Ok(Engine { inner })
-    }
-
-    /// Measure and adopt this host's γ_w crossover (see
-    /// [`SharedEngine::calibrate_gamma_threshold`]).
-    pub fn calibrate_gamma_threshold(&mut self) -> f64 {
-        self.inner.calibrate_gamma_threshold()
-    }
-
-    /// The attached on-disk plan store, if any.
-    pub fn store(&self) -> Option<&PlanStore> {
-        self.inner.store()
-    }
-
-    /// Override the γ_w crossover below which scatter is chosen. Set to
-    /// `0.0` to force the scheduled backend, `f64::INFINITY` to force
-    /// scatter. Affects plans built after the call.
-    pub fn set_gamma_threshold(&mut self, threshold: f64) {
-        self.inner.set_gamma_threshold(threshold);
-    }
-
-    /// Override the kernel config scheduled plans are built with (see
-    /// [`SharedEngine::set_kernel_config`]).
-    pub fn set_kernel_config(&mut self, config: KernelConfig) {
-        self.inner.set_kernel_config(config);
-    }
-
-    /// The kernel config scheduled plans are currently built with.
-    pub fn kernel_config(&self) -> KernelConfig {
-        self.inner.kernel_config()
-    }
-
-    /// Test seam: replace the fingerprint function (see
-    /// [`SharedEngine::set_fingerprint_fn`]).
-    pub fn set_fingerprint_fn(&mut self, f: fn(&Permutation) -> u64) {
-        self.inner.set_fingerprint_fn(f);
-    }
-
-    /// The schedule width plans are built with.
-    pub fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    /// Counters since construction.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.stats()
-    }
-
-    /// Number of plans currently cached.
-    pub fn cached_plans(&self) -> usize {
-        self.inner.cached_plans()
-    }
-
-    /// Scratch buffers currently parked in the pool.
-    pub fn pooled_scratch_buffers(&self) -> usize {
-        self.inner.pooled_scratch_buffers()
-    }
-
-    /// The shared engine backing this wrapper, for callers migrating to
-    /// the concurrent `&self` API.
-    pub fn shared(&self) -> &SharedEngine<T> {
-        &self.inner
-    }
-
-    /// Consume the wrapper, keeping the cache and counters.
-    pub fn into_shared(self) -> SharedEngine<T> {
-        self.inner
-    }
-
-    /// Fetch (or build and cache) the plan for `p`.
-    pub fn plan(&mut self, p: &Permutation) -> Result<Arc<PermutePlan<T>>> {
-        self.inner.plan(p)
-    }
-
-    /// Execute `dst[P[i]] = src[i]` through the cache: plan lookup (or
-    /// build), pooled scratch, backend dispatch.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != dst.len()` or either differs from `p.len()`.
-    pub fn permute(&mut self, p: &Permutation, src: &[T], dst: &mut [T]) -> Result<()> {
-        self.inner.permute(p, src, dst)
-    }
-
-    /// Fetch (or build and cache) one plan for a whole permutation chain
-    /// in application order (see [`SharedEngine::plan_fused`]).
-    pub fn plan_fused(&mut self, chain: &[&Permutation]) -> Result<Arc<PermutePlan<T>>> {
-        self.inner.plan_fused(chain)
-    }
-
-    /// Execute a permutation chain in one pass (see
-    /// [`SharedEngine::permute_fused`]).
-    pub fn permute_fused(
-        &mut self,
-        chain: &[&Permutation],
-        src: &[T],
-        dst: &mut [T],
-    ) -> Result<()> {
-        self.inner.permute_fused(chain, src, dst)
-    }
-
-    /// Apply one permutation to many `(src, dst)` pairs: one plan lookup,
-    /// jobs dispatched across the worker pool (see
-    /// [`SharedEngine::permute_batch`]).
-    pub fn permute_batch<'a, I>(&mut self, p: &Permutation, jobs: I) -> Result<()>
-    where
-        I: IntoIterator<Item = (&'a [T], &'a mut [T])>,
-        T: 'a,
-    {
-        self.inner.permute_batch(p, jobs)
-    }
-
-    /// Execute an already-fetched plan with pooled scratch.
-    pub fn run_plan(&mut self, plan: &PermutePlan<T>, src: &[T], dst: &mut [T]) {
-        self.inner.run_plan(plan, src, dst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1889,14 +1690,14 @@ mod tests {
     fn engines_are_send_and_sync() {
         fn assert_sync_send<X: Sync + Send>() {}
         assert_sync_send::<SharedEngine<u32>>();
-        assert_sync_send::<Engine<u64>>();
+        assert_sync_send::<SharedEngine<u64>>();
     }
 
     #[test]
     fn engine_is_correct_for_all_families() {
         let n = 1 << 12;
         let src: Vec<u32> = (0..n as u32).map(|v| v ^ 0xdead_beef).collect();
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         for fam in families::Family::ALL {
             let p = fam.build(n, 3).unwrap();
             let mut dst = vec![0u32; n];
@@ -1911,7 +1712,7 @@ mod tests {
         let p = families::random(n, 11);
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         for _ in 0..5 {
             engine.permute(&p, &src, &mut dst).unwrap();
         }
@@ -1926,7 +1727,8 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let n = 1 << 10;
-        let mut engine: Engine<u32> = Engine::with_capacity(W, 2);
+        // One shard, capacity 2: a global LRU over every plan.
+        let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, 2);
         let perms: Vec<Permutation> = (0..3).map(|s| families::random(n, 100 + s)).collect();
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
@@ -1948,7 +1750,7 @@ mod tests {
     #[test]
     fn gamma_decision_picks_backends_like_table_ii() {
         let n = 1 << 12;
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         let ident = engine.plan(&families::identical(n)).unwrap();
         assert_eq!(ident.route(), Route::Scatter);
         assert!(ident.gamma() <= 2.0);
@@ -1966,13 +1768,13 @@ mod tests {
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
 
-        let mut force_scatter: Engine<u32> = Engine::new(W);
+        let force_scatter: SharedEngine<u32> = SharedEngine::new(W);
         force_scatter.set_gamma_threshold(f64::INFINITY);
         force_scatter.permute(&p, &src, &mut dst).unwrap();
         assert_eq!(force_scatter.stats().scatter_runs, 1);
         assert_eq!(dst, reference(&p, &src));
 
-        let mut force_sched: Engine<u32> = Engine::new(W);
+        let force_sched: SharedEngine<u32> = SharedEngine::new(W);
         force_sched.set_gamma_threshold(0.0);
         force_sched.permute(&p, &src, &mut dst).unwrap();
         assert_eq!(force_sched.stats().scheduled_runs, 1);
@@ -1983,7 +1785,7 @@ mod tests {
     fn kernel_config_threads_through_plans() {
         let n = 1 << 10;
         let p = families::random(n, 44);
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         engine.set_gamma_threshold(0.0); // force the scheduled backend
         let cfg = KernelConfig {
             stage_bytes: 8192,
@@ -2014,7 +1816,7 @@ mod tests {
             .map(|k| (0..n as u32).map(|v| v.wrapping_add(k)).collect())
             .collect();
         let mut dsts: Vec<Vec<u32>> = vec![vec![0u32; n]; 4];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         engine
             .permute_batch(
                 &p,
@@ -2033,6 +1835,38 @@ mod tests {
         for (src, dst) in srcs.iter().zip(&dsts) {
             assert_eq!(dst, &reference(&p, src));
         }
+    }
+
+    #[test]
+    fn every_front_door_refuses_a_short_dst_before_planning() {
+        let n = 1 << 10;
+        let p = families::random(n, 61);
+        let src: Vec<u32> = (0..n as u32).collect();
+        let want = PlanError::SizeMismatch {
+            expected: n,
+            got: n - 1,
+        };
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
+        let mut short = vec![0u32; n - 1];
+        assert_eq!(engine.permute(&p, &src, &mut short), Err(want.clone()));
+        assert_eq!(
+            engine.permute_fused(&[&p, &p], &src, &mut short),
+            Err(want.clone())
+        );
+        let mut good = vec![0u32; n];
+        let batch = [
+            (src.as_slice(), good.as_mut_slice()),
+            (src.as_slice(), short.as_mut_slice()),
+        ];
+        assert_eq!(engine.permute_batch(&p, batch), Err(want.clone()));
+        match engine.submit(&p, src.clone(), vec![0u32; n - 1]).wait() {
+            Err(JobError::Plan(e)) => assert_eq!(e, want),
+            other => panic!("expected SizeMismatch, got {other:?}"),
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.misses, 0);
+        assert_eq!(engine.cached_plans(), 0);
+        assert_eq!(stats.submitted, 1, "only submit reaches the queue");
     }
 
     #[test]
@@ -2061,7 +1895,7 @@ mod tests {
         let n = 1 << 10;
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let mut engine: SharedEngine<u32> = SharedEngine::new(W);
         engine.set_fingerprint_fn(|_| 0xdead_beef);
         let p1 = families::random(n, 1);
         let p2 = families::random(n, 2);
@@ -2138,7 +1972,7 @@ mod tests {
         let p = families::random(n, 33); // high γ -> scheduled -> scratch
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         for _ in 0..10 {
             engine.permute(&p, &src, &mut dst).unwrap();
         }
@@ -2154,7 +1988,7 @@ mod tests {
         let n = 1 << 12;
         let src: Vec<u32> = (0..n as u32).collect();
         let mut dst = vec![0u32; n];
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         engine.set_gamma_threshold(f64::INFINITY); // force scatter
         for seed in 0..4 {
             let p = families::random(n, seed);

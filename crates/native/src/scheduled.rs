@@ -2,7 +2,7 @@
 //! memory sweeps** — the path of every König-colored plan, and of
 //! structured plans when [`KernelConfig::computed_index`] is off (the
 //! map-load reference). Structured plans otherwise run as one tiled
-//! sweep ([`crate::tiled`]); [`NativeScheduled`] holds both forms and the
+//! sweep (`crate::tiled`); [`NativeScheduled`] holds both forms and the
 //! config picks one per run.
 //!
 //! The GPU implementation (and the simulator) run five passes: row gather,
@@ -29,7 +29,7 @@
 //! # The two-stage, double-buffered block pipeline
 //!
 //! Each gather-transpose worker processes its output band in *input-row
-//! blocks* through per-thread staging buffers ([`crate::stage`] — pooled
+//! blocks* through per-thread staging buffers (`crate::stage` — pooled
 //! for the life of the worker, replacing the seed's per-band
 //! `to_vec()` copy-allocation):
 //!
@@ -64,10 +64,11 @@
 //! The inner loops are vectorized per [`KernelConfig::simd`]: clamped,
 //! unrolled width-specialized paths by default and `core::arch` AVX2
 //! gathers/tile-transposes behind runtime detection, with the scalar
-//! loops kept as the always-available reference ([`crate::simd`] — the
-//! only module that touches `core::arch`). The unfused five-pass path is
-//! kept as [`NativeScheduled::run_unfused`] for benchmarking the fusion
-//! win.
+//! loops kept as the always-available reference (`crate::simd` — the
+//! only module that touches `core::arch`). The unfused five-step form
+//! lives in `hmm-backend`'s `interp` backend, which executes it literally
+//! and is the oracle these sweeps are tested against
+//! (`tests/backend_interp.rs`).
 
 use crate::config::KernelConfig;
 use crate::par::{par_chunks_mut, par_chunks_mut_exact, worker_threads};
@@ -94,12 +95,11 @@ pub struct NativeScheduled {
     g2: Vec<u32>,
     /// Sweep 3 gather map, flattened `r × c`.
     g3: Vec<u32>,
-    /// The one-sweep form of a structured plan ([`crate::tiled`]),
+    /// The one-sweep form of a structured plan (`crate::tiled`),
     /// present exactly when the plan carries affine descriptors. With
     /// [`KernelConfig::computed_index`] set, runs take it instead of the
-    /// three sweeps — the maps are still kept (they are what
-    /// [`run_unfused`](Self::run_unfused) and the map-load config point
-    /// execute), so the flag alone decides the kernel at run time.
+    /// three sweeps — the maps are still kept (the map-load config point
+    /// executes them), so the flag alone decides the kernel at run time.
     tiled: Option<TiledPlan>,
     /// Kernel tuning (block size, staging depth, SIMD, prefetch).
     config: KernelConfig,
@@ -113,16 +113,6 @@ impl NativeScheduled {
     pub fn build(p: &Permutation, width: usize) -> Result<Self> {
         let ir = PlanIr::build_par(p, width, worker_threads())?;
         Self::from_plan(&ir)
-    }
-
-    /// Build and also hand back the backend-neutral plan IR, so the caller
-    /// can reuse it — stage a simulator run via `hmm-offperm`'s
-    /// `Decomposition::from_ir`, or persist it in an `hmm_plan::PlanStore`
-    /// — without paying for the König coloring twice.
-    pub fn build_shared(p: &Permutation, width: usize) -> Result<(Self, PlanIr)> {
-        let ir = PlanIr::build_par(p, width, worker_threads())?;
-        let sched = Self::from_plan(&ir)?;
-        Ok((sched, ir))
     }
 
     /// Build from an existing plan IR (shared with a simulator run, or
@@ -260,27 +250,6 @@ impl NativeScheduled {
         assert_eq!(dst.len(), n, "dst length mismatch");
         assert_eq!(scratch.len(), n, "scratch length mismatch");
     }
-
-    /// The seed's five-pass execution, kept as the benchmark reference
-    /// the fused path is measured against: row gather (with the
-    /// per-element `pos % cols` row lookup the seed used), blocked
-    /// transpose, row gather, blocked transpose, row gather, with the two
-    /// scratch buffers the seed's `run` allocated per call. Runs the
-    /// scalar kernel tier regardless of this schedule's config.
-    pub fn run_unfused<T: Copy + Send + Sync + Default>(&self, src: &[T], dst: &mut [T]) {
-        let n = self.len();
-        assert_eq!(src.len(), n, "src length mismatch");
-        assert_eq!(dst.len(), n, "dst length mismatch");
-        let (r, c) = (self.shape.rows, self.shape.cols);
-        let scalar = KernelConfig::scalar();
-        let mut t1 = vec![T::default(); n];
-        let mut t2 = vec![T::default(); n];
-        row_pass_seed(src, &self.g1, c, &mut t1);
-        transpose_blocked(&t1, r, c, &mut t2, &scalar);
-        row_pass_seed(&t2, &self.g2, r, &mut t1);
-        transpose_blocked(&t1, c, r, &mut t2, &scalar);
-        row_pass_seed(&t2, &self.g3, c, dst);
-    }
 }
 
 /// Row-local gather: `out[row][k] = in[row][g[row*cols + k]]`, parallel
@@ -323,24 +292,6 @@ fn row_pass<T: Copy + Send + Sync>(
                 0,
                 out_row,
             );
-        }
-    });
-}
-
-/// The seed's row-local gather, unchanged: recomputes the row base with a
-/// `pos % cols` division on every element. Used only by
-/// [`NativeScheduled::run_unfused`] so benchmarks measure the fused path
-/// against exactly what shipped before.
-fn row_pass_seed<T: Copy + Send + Sync>(input: &[T], g: &[u32], cols: usize, out: &mut [T]) {
-    debug_assert_eq!(input.len(), out.len());
-    debug_assert_eq!(g.len(), out.len());
-    let rows = out.len() / cols;
-    let band = rows_per_band(rows) * cols;
-    par_chunks_mut(out, band, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            let pos = start + off;
-            let row_base = pos - pos % cols;
-            *slot = input[row_base + g[pos] as usize];
         }
     });
 }
@@ -558,58 +509,6 @@ fn transpose_block<T: Copy>(
     }
 }
 
-/// Cache-blocked transpose of a `rows × cols` row-major matrix into a
-/// `cols × rows` one, parallel over bands of output rows, with vector
-/// tiles inside each cache block when the config's tier has them. Used
-/// only by the unfused reference path (which passes the scalar config)
-/// and its tests.
-fn transpose_blocked<T: Copy + Send + Sync>(
-    input: &[T],
-    rows: usize,
-    cols: usize,
-    out: &mut [T],
-    cfg: &KernelConfig,
-) {
-    debug_assert_eq!(input.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows * cols);
-    let tile = cfg.tile.max(1);
-    let tier = simd::select::<T>(cfg.simd);
-    let band_rows = rows_per_band(cols).next_multiple_of(tile);
-    par_chunks_mut_exact(out, band_rows * rows, |start, chunk| {
-        let out_row0 = start / rows;
-        let out_rows = chunk.len() / rows;
-        let mut jr0 = 0;
-        while jr0 < out_rows {
-            let jrmax = (jr0 + tile).min(out_rows);
-            let mut i0 = 0;
-            while i0 < rows {
-                let imax = (i0 + tile).min(rows);
-                // chunk[jr*rows + i] = input[i*cols + out_row0 + jr]
-                if !simd::transpose_strided(
-                    tier,
-                    input,
-                    i0 * cols + out_row0 + jr0,
-                    cols,
-                    chunk,
-                    jr0 * rows + i0,
-                    rows,
-                    imax - i0,
-                    jrmax - jr0,
-                ) {
-                    for jr in jr0..jrmax {
-                        let out_base = jr * rows;
-                        for i in i0..imax {
-                            chunk[out_base + i] = input[i * cols + out_row0 + jr];
-                        }
-                    }
-                }
-                i0 = imax;
-            }
-            jr0 = jrmax;
-        }
-    });
-}
-
 /// Rows per parallel band: enough rows that each worker gets a contiguous,
 /// reasonably large piece.
 fn rows_per_band(rows: usize) -> usize {
@@ -676,21 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_unfused_for_all_families() {
-        let n = 1 << 13;
-        let src: Vec<u32> = (0..n as u32).map(|v| v.rotate_left(7)).collect();
-        for fam in families::Family::ALL {
-            let p = fam.build(n, 9).unwrap();
-            let sched = NativeScheduled::build(&p, W).unwrap();
-            let mut fused = vec![0u32; n];
-            sched.run(&src, &mut fused);
-            let mut unfused = vec![0u32; n];
-            sched.run_unfused(&src, &mut unfused);
-            assert_eq!(fused, unfused, "{}", fam.name());
-        }
-    }
-
-    #[test]
     fn run_with_scratch_reuses_buffers() {
         let n = 1 << 12;
         let p = families::bit_reversal(n).unwrap();
@@ -708,16 +592,6 @@ mod tests {
         let mut out = vec![0; src.len()];
         p.permute(src, &mut out).unwrap();
         out
-    }
-
-    #[test]
-    fn build_shared_plan_recomposes() {
-        let n = 1 << 10;
-        let p = families::random(n, 5);
-        let (sched, ir) = NativeScheduled::build_shared(&p, W).unwrap();
-        assert_eq!(sched.shape(), ir.shape());
-        assert!(ir.matches(&p));
-        assert_eq!(ir.recompose().as_slice(), p.as_slice());
     }
 
     #[test]
@@ -869,22 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_blocked_is_correct() {
-        for cfg in [KernelConfig::scalar(), KernelConfig::default()] {
-            for (r, c) in [(64, 64), (64, 128), (128, 64), (192, 320), (33, 57)] {
-                let input: Vec<u32> = (0..(r * c) as u32).collect();
-                let mut out = vec![0u32; r * c];
-                transpose_blocked(&input, r, c, &mut out, &cfg);
-                for i in 0..r {
-                    for j in 0..c {
-                        assert_eq!(out[j * r + i], input[i * c + j], "({i},{j}) r={r} c={c}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn gather_transpose_with_identity_gather_is_transpose() {
         for cfg in [KernelConfig::scalar(), KernelConfig::default()] {
             for (r, c) in [(64, 64), (64, 128), (192, 320)] {
@@ -893,7 +751,11 @@ mod tests {
                 let mut fused = vec![0u32; r * c];
                 gather_transpose(&input, &identity, fused_layout(r, c), &mut fused, &cfg);
                 let mut plain = vec![0u32; r * c];
-                transpose_blocked(&input, r, c, &mut plain, &cfg);
+                for i in 0..r {
+                    for j in 0..c {
+                        plain[j * r + i] = input[i * c + j];
+                    }
+                }
                 assert_eq!(fused, plain, "r={r} c={c} {cfg:?}");
             }
         }

@@ -1,4 +1,5 @@
-//! Reusing one machine across many permutations with the `Engine` API —
+//! Reusing one machine across many permutations with the simulator's
+//! `hmm_offperm::driver::Engine` API —
 //! and permuting arrays whose sizes the paper's algorithm doesn't natively
 //! support (any `n`, via identity-tail padding).
 //!

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let p = families::bit_reversal(n)?;
 
-    // (a) Reorder with the five-pass scheduled permutation.
+    // (a) Reorder with the scheduled permutation on the native backend.
     let sched = NativeScheduled::build(&p, 32)?;
     let mut reordered_sched = vec![C::default(); n];
     let t = Instant::now();
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_scatter = t.elapsed();
 
     assert_eq!(reordered_sched, reordered_scatter);
-    println!("reorder (scheduled 5-pass): {t_sched:.2?}");
+    println!("reorder (scheduled):         {t_sched:.2?}");
     println!("reorder (direct scatter):   {t_scatter:.2?}");
 
     // Finish the FFT on the reordered data and verify a few bins against

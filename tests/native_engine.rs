@@ -5,7 +5,7 @@
 
 use hmm_machine::{Hmm, MachineConfig, Word};
 use hmm_native::par::{par_chunks_mut, worker_threads};
-use hmm_native::{scatter_permute, Engine, NativeScheduled, Route};
+use hmm_native::{scatter_permute, NativeScheduled, Route, SharedEngine};
 use hmm_offperm::driver::run_scheduled_decomposition;
 use hmm_offperm::schedule::Decomposition;
 use hmm_perm::families::{self, Family};
@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn engine_matches_scatter((p, n) in family_case()) {
         let src: Vec<u32> = (0..n as u32).collect();
-        let mut engine: Engine<u32> = Engine::new(W);
+        let engine: SharedEngine<u32> = SharedEngine::new(W);
         let mut dst = vec![0u32; n];
         engine.permute(&p, &src, &mut dst).unwrap();
         prop_assert_eq!(dst, scatter_reference(&p, &src));
@@ -99,7 +99,8 @@ fn engine_caches_and_evicts() {
     let n = 1 << 10;
     let src: Vec<u32> = (0..n as u32).collect();
     let mut dst = vec![0u32; n];
-    let mut engine: Engine<u32> = Engine::with_capacity(W, 2);
+    // One shard of two plans: a global LRU.
+    let engine: SharedEngine<u32> = SharedEngine::with_shards(W, 1, 2);
     let perms: Vec<Permutation> = (0..3).map(|s| families::random(n, s)).collect();
     for p in &perms {
         engine.permute(p, &src, &mut dst).unwrap();
@@ -116,7 +117,7 @@ fn engine_caches_and_evicts() {
 #[test]
 fn engine_gamma_fallback_picks_scatter_for_coalesced_families() {
     let n = 1 << 12;
-    let mut engine: Engine<u32> = Engine::new(W);
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
     // identical: γ = 1 — one address group per warp, scatter wins.
     let scatter_plan = engine.plan(&families::identical(n)).unwrap();
     assert_eq!(scatter_plan.route(), Route::Scatter);
@@ -133,7 +134,7 @@ fn engine_batch_applies_one_plan_to_many_arrays() {
         .map(|k| (0..n as u32).map(|v| v.rotate_left(k)).collect())
         .collect();
     let mut dsts = vec![vec![0u32; n]; 3];
-    let mut engine: Engine<u32> = Engine::new(W);
+    let engine: SharedEngine<u32> = SharedEngine::new(W);
     engine
         .permute_batch(
             &p,

@@ -9,7 +9,7 @@
 //! cancellation, and batch/single interleaving).
 
 use hmm_native::pool::WorkerPool;
-use hmm_native::{Engine, JobError, SharedEngine};
+use hmm_native::{JobError, SharedEngine};
 use hmm_perm::families;
 use hmm_perm::Permutation;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -175,25 +175,6 @@ fn shared_engine_detects_injected_fingerprint_collision() {
     let stats = engine.stats();
     assert_eq!(stats.collisions, 1);
     assert_eq!(stats.misses, 2);
-}
-
-/// Same collision injection through the single-threaded `Engine` wrapper.
-#[test]
-fn engine_wrapper_detects_injected_fingerprint_collision() {
-    let n = 1 << 10;
-    let src: Vec<u32> = (0..n as u32).collect();
-    let mut dst = vec![0u32; n];
-    let mut engine: Engine<u32> = Engine::new(W);
-    engine.set_fingerprint_fn(|_| 1);
-    let p1 = families::random(n, 3);
-    let p2 = families::random(n, 4);
-    engine.permute(&p1, &src, &mut dst).unwrap();
-    engine.permute(&p2, &src, &mut dst).unwrap();
-    assert_eq!(dst, reference(&p2, &src));
-    assert_eq!(engine.stats().collisions, 1);
-    // The replacement is cached: repeating p2 is a verified hit.
-    engine.permute(&p2, &src, &mut dst).unwrap();
-    assert_eq!(engine.stats().hits, 1);
 }
 
 /// `permute_batch` dispatches its jobs across the worker pool; outputs
