@@ -19,11 +19,15 @@
 //!   no SIMD, no prefetch, single staging buffer. The differential suite
 //!   uses it as the correctness oracle for every other config point.
 //!
-//! The config is backend-neutral on purpose: the CPU executor reads
-//! `stage_bytes`/`depth`/`simd`/`prefetch`, while the sweep-kernel IR
-//! lowering ([`crate::sweep::SweepIr`]) reads `tile` as the tiled
-//! transpose's side — so a calibrated tile travels to the WGSL codegen
-//! and the interpreter unchanged.
+//! The config is backend-neutral on purpose. Both lowerings read
+//! `computed_index` once, when a plan is prepared: the CPU executor to
+//! pick its one kernel, the sweep-kernel IR
+//! ([`crate::sweep::SweepIr`]) to elide the map copies. The CPU
+//! executor's three-sweep kernel also reads
+//! `stage_bytes`/`tile`/`depth`/`prefetch`, and every CPU kernel reads
+//! `simd`. The IR lowering reads `tile` as the tiled transpose's side,
+//! so a tile set here travels to the WGSL codegen and the interpreter
+//! unchanged.
 
 use crate::env::parse_env;
 use std::sync::OnceLock;
@@ -66,9 +70,9 @@ pub const DEFAULT_STAGING_DEPTH: usize = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Per-worker staging-buffer budget in bytes. Bounds how many input
-    /// rows one gather block stages before transposing out;
-    /// `HMM_NATIVE_CALIBRATE=1` replaces the default with a measured
-    /// value.
+    /// rows one gather block of the three-sweep kernel stages before
+    /// transposing out ([`DEFAULT_STAGE_BYTES`] unless a caller sets
+    /// it). The one tiled sweep ignores it.
     pub stage_bytes: usize,
     /// Blocked-transpose tile side in elements. Also the tile side the
     /// sweep-kernel IR lowers into [`crate::sweep::SweepKernel`]'s tiled
@@ -90,7 +94,9 @@ pub struct KernelConfig {
     pub prefetch: bool,
     /// Compute gather indices in registers (the affine XOR-fold) for
     /// plans that carry verified descriptors, instead of loading the
-    /// materialized map alongside the data. Plans without descriptors
+    /// materialized map alongside the data. Read once, when a plan is
+    /// prepared: on the native backend such a plan then runs as one
+    /// tiled sweep and holds no map. Plans without descriptors
     /// (König-colored) always use map loads regardless of this flag.
     pub computed_index: bool,
 }

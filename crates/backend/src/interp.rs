@@ -17,10 +17,9 @@
 
 use crate::config::KernelConfig;
 use crate::sweep::{BufferId, IndexSource, SweepIr, SweepKernel, SweepStep};
-use crate::traits::{Backend, Capabilities, ExecPlan, Executable, Route};
+use crate::traits::{Backend, ExecPlan, Executable, Route};
 use hmm_perm::Permutation;
 use hmm_plan::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Registry name of the interpreter backend.
 pub const INTERP_BACKEND_NAME: &str = "interp";
@@ -34,23 +33,17 @@ impl<T: Copy + Default + Send + Sync + 'static> Backend<T> for InterpBackend {
         INTERP_BACKEND_NAME
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
     fn prepare(&self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Box<dyn Executable<T>>> {
         match plan {
             ExecPlan::Scatter(p) => Ok(Box::new(InterpScatterExec {
                 perm: p.clone(),
                 config,
-                runs: AtomicU64::new(0),
             })),
             ExecPlan::Scheduled(ir) => {
                 ir.validate()?;
                 Ok(Box::new(InterpExec {
                     ir: SweepIr::lower(ir, &config),
                     config,
-                    runs: AtomicU64::new(0),
                 }))
             }
         }
@@ -62,7 +55,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Backend<T> for InterpBackend {
 pub struct InterpExec {
     ir: SweepIr,
     config: KernelConfig,
-    runs: AtomicU64,
 }
 
 impl InterpExec {
@@ -94,7 +86,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpExec {
                 }
             }
         }
-        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
     fn scratch_len(&self) -> usize {
@@ -117,10 +108,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpExec {
         self.config
     }
 
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -130,7 +117,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpExec {
 pub struct InterpScatterExec {
     perm: Permutation,
     config: KernelConfig,
-    runs: AtomicU64,
 }
 
 impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpScatterExec {
@@ -141,7 +127,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpScatterE
         for (i, &d) in self.perm.as_slice().iter().enumerate() {
             dst[d] = src[i];
         }
-        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
     fn scratch_len(&self) -> usize {
@@ -162,10 +147,6 @@ impl<T: Copy + Default + Send + Sync + 'static> Executable<T> for InterpScatterE
 
     fn kernel_config(&self) -> KernelConfig {
         self.config
-    }
-
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -281,7 +262,6 @@ mod tests {
         let mut dst = vec![0u32; n];
         let mut scratch = vec![0u32; exec.scratch_len()];
         exec.run(&src, &mut dst, &mut scratch);
-        assert_eq!(exec.runs(), 1);
         assert_eq!(dst, naive_reference(p, &src));
         dst
     }
@@ -363,7 +343,6 @@ mod tests {
             want[d] = src[i];
         }
         assert_eq!(dst, want);
-        assert_eq!(exec.runs(), 1);
     }
 
     #[test]

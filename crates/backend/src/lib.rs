@@ -10,9 +10,8 @@
 //!    [`hmm_plan::PlanIr`]) plus a [`KernelConfig`] into a boxed
 //!    [`Executable`]; the engines in `hmm-native` dispatch every
 //!    execution through these two traits and never name a concrete
-//!    executor again. [`Capabilities`] lets a backend opt out of a route
-//!    (a GPU backend with no scatter kernel, say) and
-//!    [`Executable::runs`] is the per-executable stats hook.
+//!    executor. Every registered backend prepares both routes, so the
+//!    engine's γ_w decision alone picks the route.
 //! 2. **Sweep-kernel IR** — [`SweepIr`] lowers a validated `PlanIr` +
 //!    its pass layouts into five steps of three kernel kinds
 //!    ([`SweepKernel`]: row-local gather, tiled transpose with an
@@ -28,8 +27,10 @@
 //!
 //! The crate also owns the strict environment-override helper
 //! ([`env::parse_env`]): every `HMM_*` knob (`HMM_NATIVE_SIMD`,
-//! `HMM_NATIVE_THREADS`, `HMM_BACKEND`) parses strictly and warns once
-//! per variable on garbage instead of silently guessing.
+//! `HMM_NATIVE_THREADS`, `HMM_BACKEND`, `HMM_NATIVE_COMPUTED_INDEX`)
+//! parses strictly and warns once per variable on garbage instead of
+//! silently guessing; `hmm-native`'s retired `HMM_NATIVE_CALIBRATE`
+//! warns once whenever it is set.
 //!
 //! No `unsafe` anywhere in this crate: the interpreter is the *reference*
 //! executor, so it stays trivially auditable.
@@ -50,5 +51,5 @@ pub use config::{
 };
 pub use interp::InterpBackend;
 pub use sweep::{BufferId, GatherMap, IndexSource, SweepIr, SweepKernel, SweepStep};
-pub use traits::{Backend, Capabilities, ExecPlan, Executable, Route};
+pub use traits::{Backend, ExecPlan, Executable, Route};
 pub use wgsl::{kernel_wgsl, module_wgsl, WgslElem};

@@ -66,35 +66,6 @@ impl ExecPlan<'_> {
     }
 }
 
-/// What a backend can execute. The engine consults this before routing:
-/// a backend without a scatter kernel gets scheduled plans even at low
-/// γ_w, and vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Capabilities {
-    /// The backend can prepare [`ExecPlan::Scatter`] plans.
-    pub scatter: bool,
-    /// The backend can prepare [`ExecPlan::Scheduled`] plans.
-    pub scheduled: bool,
-}
-
-impl Capabilities {
-    /// Both routes supported — the common case for CPU backends.
-    pub const fn all() -> Self {
-        Capabilities {
-            scatter: true,
-            scheduled: true,
-        }
-    }
-
-    /// True when the backend supports `route`.
-    pub fn supports(&self, route: Route) -> bool {
-        match route {
-            Route::Scatter => self.scatter,
-            Route::Scheduled => self.scheduled,
-        }
-    }
-}
-
 /// A prepared, immutable, reusable execution of one plan on one backend.
 ///
 /// `run` is `&self` and thread-safe: the engines call it concurrently
@@ -103,17 +74,19 @@ impl Capabilities {
 /// never in `self`.
 pub trait Executable<T>: Send + Sync {
     /// Execute `dst[P[i]] = src[i]`. `scratch` must be exactly
-    /// [`Executable::scratch_len`] elements; its contents on entry are
-    /// irrelevant and on exit unspecified.
+    /// [`Executable::scratch_len`] elements, except that an executable
+    /// needing none ignores whatever it is passed; its contents on entry
+    /// are irrelevant and on exit unspecified.
     ///
     /// # Panics
     /// Implementations panic when `src`/`dst`/`scratch` lengths disagree
     /// with the plan — the engines validate before calling.
     fn run(&self, src: &[T], dst: &mut [T], scratch: &mut [T]);
 
-    /// Scratch elements `run` requires: 0 for scatter executables, `n`
-    /// for the native fused executor, `2n` for the IR interpreter (its
-    /// five unfused steps ping-pong between two temporaries).
+    /// Scratch elements `run` requires: 0 for scatter executables and
+    /// for the native one-sweep kernel of a structured plan, `n` for the
+    /// native three-sweep kernel, `2n` for the IR interpreter (its five
+    /// unfused steps ping-pong between two temporaries).
     fn scratch_len(&self) -> usize;
 
     /// Number of elements one run permutes.
@@ -135,9 +108,6 @@ pub trait Executable<T>: Send + Sync {
     /// The kernel config the executable was prepared with.
     fn kernel_config(&self) -> KernelConfig;
 
-    /// Stats hook: completed `run` calls on this executable.
-    fn runs(&self) -> u64;
-
     /// Downcast seam, so backend-specific tooling (e.g. the native
     /// backend's sweep timer) can recover its concrete executor from a
     /// cached plan without the engine naming the type.
@@ -154,9 +124,6 @@ pub trait Backend<T>: Send + Sync {
     /// Stable registry name (`"native"`, `"interp"`, ...) — what
     /// `HMM_BACKEND` selects and what `EngineStats::backend` reports.
     fn name(&self) -> &'static str;
-
-    /// Which routes this backend can prepare.
-    fn capabilities(&self) -> Capabilities;
 
     /// Compile `plan` into an executable under `config`. Scheduled plans
     /// must be validated (`PlanIr::validate`) before use — a corrupt IR
@@ -181,17 +148,5 @@ mod tests {
         let plan = ExecPlan::Scheduled(&ir);
         assert_eq!(plan.route(), Route::Scheduled);
         assert_eq!(plan.len(), 1 << 10);
-    }
-
-    #[test]
-    fn capabilities_gate_routes() {
-        let all = Capabilities::all();
-        assert!(all.supports(Route::Scatter) && all.supports(Route::Scheduled));
-        let sched_only = Capabilities {
-            scatter: false,
-            scheduled: true,
-        };
-        assert!(!sched_only.supports(Route::Scatter));
-        assert!(sched_only.supports(Route::Scheduled));
     }
 }

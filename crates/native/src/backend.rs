@@ -1,7 +1,7 @@
 //! The native backend and the process backend registry.
 //!
-//! [`NativeBackend`] wraps this crate's two executors — the fused
-//! three-sweep [`NativeScheduled`] and the parallel scatter kernel — as
+//! [`NativeBackend`] wraps this crate's two executors — the scheduled
+//! [`NativeScheduled`] and the parallel scatter kernel — as
 //! one registered [`Backend`], so the engines in [`crate::plan`] dispatch
 //! every execution through `hmm_backend`'s traits and never name a
 //! concrete executor. The registry ([`by_name`], [`backend_names`]) also
@@ -16,12 +16,9 @@
 
 use crate::scheduled::NativeScheduled;
 use hmm_backend::env::parse_env;
-use hmm_backend::{
-    Backend, Capabilities, ExecPlan, Executable, InterpBackend, KernelConfig, Route,
-};
+use hmm_backend::{Backend, ExecPlan, Executable, InterpBackend, KernelConfig, Route};
 use hmm_perm::Permutation;
 use hmm_plan::Result;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Environment variable selecting the process-default backend by registry
@@ -33,7 +30,8 @@ pub const BACKEND_ENV: &str = "HMM_BACKEND";
 pub const NATIVE_BACKEND_NAME: &str = "native";
 
 /// The CPU-parallel backend: scheduled plans execute as
-/// [`NativeScheduled`]'s three fused sweeps, scatter plans as the
+/// [`NativeScheduled`] (one tiled sweep for a structured plan under
+/// computed-index, three fused sweeps otherwise), scatter plans as the
 /// parallel scatter kernel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NativeBackend;
@@ -43,22 +41,16 @@ impl<T: Copy + Send + Sync + Default + 'static> Backend<T> for NativeBackend {
         NATIVE_BACKEND_NAME
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::all()
-    }
-
     fn prepare(&self, plan: ExecPlan<'_>, config: KernelConfig) -> Result<Box<dyn Executable<T>>> {
         match plan {
             ExecPlan::Scatter(p) => Ok(Box::new(NativeScatterExec {
                 perm: p.clone(),
                 config,
-                runs: AtomicU64::new(0),
             })),
             // `from_plan_with` validates the IR; a corrupt plan is a
             // typed error here, never a mis-gather at run time.
             ExecPlan::Scheduled(ir) => Ok(Box::new(NativeExec {
                 sched: NativeScheduled::from_plan_with(ir, config)?,
-                runs: AtomicU64::new(0),
             })),
         }
     }
@@ -69,11 +61,10 @@ impl<T: Copy + Send + Sync + Default + 'static> Backend<T> for NativeBackend {
 /// to it for any element type.
 pub struct NativeExec {
     sched: NativeScheduled,
-    runs: AtomicU64,
 }
 
 impl NativeExec {
-    /// The underlying fused executor — the seam backend-specific tooling
+    /// The underlying scheduled executor — the seam backend-specific tooling
     /// (the bench's per-sweep timer) reaches through [`as_native_scheduled`].
     pub fn scheduled(&self) -> &NativeScheduled {
         &self.sched
@@ -83,7 +74,6 @@ impl NativeExec {
 impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeExec {
     fn run(&self, src: &[T], dst: &mut [T], scratch: &mut [T]) {
         self.sched.run_with_scratch(src, dst, scratch);
-        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
     fn scratch_len(&self) -> usize {
@@ -106,10 +96,6 @@ impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeExec {
         self.sched.kernel_config()
     }
 
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -120,13 +106,11 @@ impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeExec {
 pub struct NativeScatterExec {
     perm: Permutation,
     config: KernelConfig,
-    runs: AtomicU64,
 }
 
 impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeScatterExec {
     fn run(&self, src: &[T], dst: &mut [T], _scratch: &mut [T]) {
         crate::scatter::scatter_permute(src, &self.perm, dst);
-        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
     fn scratch_len(&self) -> usize {
@@ -147,10 +131,6 @@ impl<T: Copy + Send + Sync + Default + 'static> Executable<T> for NativeScatterE
 
     fn kernel_config(&self) -> KernelConfig {
         self.config
-    }
-
-    fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -212,7 +192,7 @@ pub fn forced_engine_on<T: Copy + Send + Sync + Default + 'static>(
     Some(engine)
 }
 
-/// Downcast a plan's executable to the native fused executor, when the
+/// Downcast a plan's executable to the native scheduled executor, when the
 /// plan is a scheduled plan prepared by [`NativeBackend`]. `None` for
 /// scatter plans and for other backends' executables.
 pub fn as_native_scheduled<T>(plan: &crate::plan::PermutePlan<T>) -> Option<&NativeScheduled> {
@@ -233,7 +213,6 @@ mod tests {
         for name in backend_names() {
             let b = by_name::<u32>(name).unwrap_or_else(|| panic!("{name} not resolvable"));
             assert_eq!(b.name(), name);
-            assert!(b.capabilities().scatter && b.capabilities().scheduled);
         }
         assert!(by_name::<u32>("no-such-backend").is_none());
     }
@@ -254,7 +233,6 @@ mod tests {
         scatter.run(&src, &mut dst, &mut []);
         assert_eq!(dst, want);
         assert_eq!(scatter.scratch_len(), 0);
-        assert_eq!(scatter.runs(), 1);
 
         let ir = PlanIr::build(&p, 32).unwrap();
         let sched: Box<dyn Executable<u32>> = backend

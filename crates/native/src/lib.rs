@@ -7,18 +7,19 @@
 //!
 //! * [`scatter::scatter_permute`] / [`scatter::gather_permute`] — the
 //!   conventional D-/S-designated kernels (one scattered pass);
-//! * [`scheduled::NativeScheduled`] — the scheduled permutation executed
-//!   as three fused memory sweeps (gather-transpose, gather-transpose,
-//!   row gather), built from the backend-neutral [`hmm_plan::PlanIr`]
-//!   shared with the simulator and the on-disk plan store; plans with
-//!   affine descriptors run instead as one tiled sweep that reads and
-//!   writes whole 256-byte runs (`tiled`);
+//! * [`scheduled::NativeScheduled`] — the scheduled permutation, built
+//!   from the backend-neutral [`hmm_plan::PlanIr`] shared with the
+//!   simulator and the on-disk plan store, and prepared for exactly one
+//!   kernel: a plan with affine descriptors runs as one tiled sweep that
+//!   reads and writes whole 256-byte runs (`tiled`), any other plan as
+//!   three fused memory sweeps (gather-transpose, gather-transpose, row
+//!   gather) over its gather maps;
 //! * [`plan::SharedEngine`] — the crate's one engine: a thread-safe
 //!   plan service (`&self` from any number of threads) with a sharded LRU
 //!   cache, single-flight plan construction, verified (collision-proof)
 //!   hits, a lock-free scratch pool, a distribution-based scatter
-//!   fallback (optionally calibrated per host, `HMM_NATIVE_CALIBRATE=1`),
-//!   and an optional tier-2 on-disk plan store
+//!   fallback at a static γ_w threshold, and an optional tier-2 on-disk
+//!   plan store
 //!   ([`plan::SharedEngine::with_store`]) so a cold process skips the
 //!   König coloring. Every blocking front door answers a buffer-length
 //!   mistake with a typed `PlanError::SizeMismatch`;
@@ -76,7 +77,7 @@ pub use backend::{
     NativeBackend, BACKEND_ENV, NATIVE_BACKEND_NAME,
 };
 pub use config::{KernelConfig, COMPUTED_INDEX_ENV, SIMD_ENV};
-pub use hmm_backend::{Backend, Capabilities, ExecPlan, Executable, InterpBackend, Route};
+pub use hmm_backend::{Backend, ExecPlan, Executable, InterpBackend, Route};
 pub use hmm_plan::{PlanIr, PlanStore, StoreKey};
 pub use par::THREADS_ENV;
 pub use plan::{EngineStats, PermutePlan, SharedEngine, CALIBRATE_ENV};

@@ -1,9 +1,16 @@
-//! The scheduled permutation on a real CPU, executed as **three fused
-//! memory sweeps** — the path of every König-colored plan, and of
-//! structured plans when [`KernelConfig::computed_index`] is off (the
-//! map-load reference). Structured plans otherwise run as one tiled
-//! sweep (`crate::tiled`); [`NativeScheduled`] holds both forms and the
-//! config picks one per run.
+//! The scheduled permutation on a real CPU. [`NativeScheduled`] holds
+//! exactly one kernel, chosen once when the plan is prepared
+//! ([`NativeScheduled::from_plan_with`]):
+//!
+//! * a plan with affine descriptors, under
+//!   [`KernelConfig::computed_index`], runs as **one tiled sweep**
+//!   (`crate::tiled`) over its source map — no gather map, no scratch;
+//! * every other plan runs as **three fused memory sweeps** over the
+//!   plan's gather maps. That is the path of every König-colored plan,
+//!   and the map-load reference for structured plans when
+//!   `computed_index` is off.
+//!
+//! The rest of this page describes the three-sweep kernel.
 //!
 //! The GPU implementation (and the simulator) run five passes: row gather,
 //! transpose, row gather, transpose, row gather. On the CPU the transposes
@@ -80,29 +87,38 @@ use hmm_perm::{MatrixShape, Permutation};
 use hmm_plan::{PassLayout, PlanIr, Result};
 use std::time::{Duration, Instant};
 
-/// A CPU-executable scheduled permutation: the three-step decomposition
-/// with per-row *gather* maps (destination-ordered) precomputed, plus
-/// the kernel tuning the sweeps run with.
+/// A CPU-executable scheduled permutation: the one kernel its plan was
+/// prepared for, plus the kernel tuning it runs with.
 #[derive(Debug, Clone)]
 pub struct NativeScheduled {
     shape: MatrixShape,
-    /// Per-pass geometry, derived from the plan (`PlanIr::pass_layouts`).
-    layouts: [PassLayout; 3],
-    /// Sweep 1 gather map, flattened `r × c`: row `i` of the intermediate
-    /// is `in[i][g1[i*c + k]]` for `k` in `0..c`.
-    g1: Vec<u32>,
-    /// Sweep 2 gather map on the transposed matrix, flattened `c × r`.
-    g2: Vec<u32>,
-    /// Sweep 3 gather map, flattened `r × c`.
-    g3: Vec<u32>,
-    /// The one-sweep form of a structured plan (`crate::tiled`),
-    /// present exactly when the plan carries affine descriptors. With
-    /// [`KernelConfig::computed_index`] set, runs take it instead of the
-    /// three sweeps — the maps are still kept (the map-load config point
-    /// executes them), so the flag alone decides the kernel at run time.
-    tiled: Option<TiledPlan>,
+    kernel: Kernel,
     /// Kernel tuning (block size, staging depth, SIMD, prefetch).
     config: KernelConfig,
+}
+
+/// The kernel a prepared plan runs, fixed at preparation.
+#[derive(Debug, Clone)]
+enum Kernel {
+    /// One tiled sweep over the plan's affine source map
+    /// (`crate::tiled`): structured plans under
+    /// [`KernelConfig::computed_index`]. Holds no gather map and needs
+    /// no scratch.
+    Tiled(Box<TiledPlan>),
+    /// Three fused sweeps over the per-row gather maps (destination
+    /// ordered), through one scratch array of `n` elements.
+    Sweeps {
+        /// Per-pass geometry, derived from the plan
+        /// (`PlanIr::pass_layouts`).
+        layouts: [PassLayout; 3],
+        /// Sweep 1 gather map, flattened `r × c`: row `i` of the
+        /// intermediate is `in[i][g1[i*c + k]]` for `k` in `0..c`.
+        g1: Vec<u32>,
+        /// Sweep 2 gather map on the transposed matrix, flattened `c × r`.
+        g2: Vec<u32>,
+        /// Sweep 3 gather map, flattened `r × c`.
+        g3: Vec<u32>,
+    },
 }
 
 impl NativeScheduled {
@@ -117,9 +133,7 @@ impl NativeScheduled {
 
     /// Build from an existing plan IR (shared with a simulator run, or
     /// loaded from the on-disk plan store) with the process-wide
-    /// [`KernelConfig::global`]. The IR already carries the flat gather
-    /// maps, so this is a validation pass plus three copies — no
-    /// coloring, no per-row inversion.
+    /// [`KernelConfig::global`] — no coloring, no per-row inversion.
     pub fn from_plan(ir: &PlanIr) -> Result<Self> {
         Self::from_plan_with(ir, KernelConfig::global())
     }
@@ -129,6 +143,11 @@ impl NativeScheduled {
     /// SIMD on/off rows, and the differential suite thread their configs
     /// through.
     ///
+    /// The kernel is chosen here, once: a plan with affine descriptors
+    /// under [`KernelConfig::computed_index`] gets the one tiled sweep
+    /// and copies no gather map; any other plan copies its three gather
+    /// maps for the three fused sweeps.
+    ///
     /// The plan contract is checked here (`PlanIr::validate`): the SIMD
     /// gather tiers *clamp* indices instead of bounds-checking them
     /// (`crate::simd`), so a corrupted plan that got past the codec and
@@ -137,34 +156,33 @@ impl NativeScheduled {
     /// error, never wrong output.
     pub fn from_plan_with(ir: &PlanIr, config: KernelConfig) -> Result<Self> {
         ir.validate()?;
+        let source = if config.computed_index {
+            ir.source_bmmc()
+        } else {
+            None
+        };
+        let kernel = match source {
+            Some(source) => Kernel::Tiled(Box::new(TiledPlan::new(source))),
+            None => Kernel::Sweeps {
+                layouts: ir.pass_layouts(),
+                g1: ir.gather1().to_vec(),
+                g2: ir.gather2().to_vec(),
+                g3: ir.gather3().to_vec(),
+            },
+        };
         Ok(NativeScheduled {
             shape: ir.shape(),
-            layouts: ir.pass_layouts(),
-            g1: ir.gather1().to_vec(),
-            g2: ir.gather2().to_vec(),
-            g3: ir.gather3().to_vec(),
-            tiled: ir.source_bmmc().map(TiledPlan::new),
+            kernel,
             config,
         })
     }
 
     /// True when runs take the one tiled sweep, with indices computed
-    /// from the plan's affine map instead of loaded from the three
-    /// gather maps: the plan carries verified affine descriptors *and*
-    /// the config has [`KernelConfig::computed_index`] enabled.
+    /// from the plan's affine map instead of loaded from gather maps:
+    /// the plan carried verified affine descriptors *and* the config had
+    /// [`KernelConfig::computed_index`] enabled when it was prepared.
     pub fn computed_index(&self) -> bool {
-        self.tiled().is_some()
-    }
-
-    /// The one-sweep kernel, when this run takes it.
-    fn tiled(&self) -> Option<&TiledPlan> {
-        self.tiled.as_ref().filter(|_| self.config.computed_index)
-    }
-
-    /// This schedule with a different kernel config.
-    pub fn with_config(mut self, config: KernelConfig) -> Self {
-        self.config = config;
-        self
+        matches!(self.kernel, Kernel::Tiled(_))
     }
 
     /// The kernel config the sweeps run with.
@@ -187,14 +205,16 @@ impl NativeScheduled {
         self.len() == 0
     }
 
-    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch)
-    /// (the three-sweep path's intermediate; the one tiled sweep leaves it
-    /// untouched).
+    /// Required scratch length for [`run_with_scratch`](Self::run_with_scratch):
+    /// `n` for the three sweeps' intermediate, 0 for the one tiled sweep.
     pub fn scratch_len(&self) -> usize {
-        self.len()
+        match self.kernel {
+            Kernel::Tiled(_) => 0,
+            Kernel::Sweeps { .. } => self.len(),
+        }
     }
 
-    /// Execute `dst[P[i]] = src[i]`, allocating one scratch buffer.
+    /// Execute `dst[P[i]] = src[i]`, allocating any scratch it needs.
     ///
     /// # Panics
     /// Panics if `src` or `dst` length differs from the schedule's `n`.
@@ -203,10 +223,11 @@ impl NativeScheduled {
         self.run_with_scratch(src, dst, &mut scratch);
     }
 
-    /// Execute with a caller-provided scratch buffer of length `n`,
-    /// allocation-free after worker warm-up: one tiled sweep `src → dst`
-    /// for structured plans under [`computed_index`](Self::computed_index),
-    /// otherwise three fused sweeps, `src → dst → scratch → dst`.
+    /// Execute with a caller-provided scratch buffer of
+    /// [`scratch_len`](Self::scratch_len) elements, allocation-free
+    /// after worker warm-up: one tiled sweep `src → dst` (any scratch
+    /// passed is ignored), or three fused sweeps,
+    /// `src → dst → scratch → dst`.
     pub fn run_with_scratch<T: Copy + Send + Sync>(
         &self,
         src: &[T],
@@ -218,37 +239,42 @@ impl NativeScheduled {
 
     /// [`run_with_scratch`](Self::run_with_scratch), timing each sweep:
     /// `[gather-transpose 1, gather-transpose 2, row pass]` on the
-    /// three-sweep path, `[tiled sweep, 0, 0]` on the one-sweep path. The
-    /// output is identical; the bench's per-sweep rows come from here.
+    /// three-sweep kernel, `[tiled sweep, 0, 0]` on the one-sweep kernel.
+    /// The output is identical; the bench's per-sweep rows come from here.
     pub fn run_sweeps_timed<T: Copy + Send + Sync>(
         &self,
         src: &[T],
         dst: &mut [T],
         scratch: &mut [T],
     ) -> [Duration; 3] {
-        self.check_lengths(src, dst, scratch);
-        let tier = simd::select::<T>(self.config.simd);
-        let t0 = Instant::now();
-        if let Some(tiled) = self.tiled() {
-            tiled.run(src, dst, tier);
-            return [t0.elapsed(), Duration::ZERO, Duration::ZERO];
-        }
-        // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
-        gather_transpose(src, &self.g1, self.layouts[0], dst, &self.config);
-        let t1 = Instant::now();
-        // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
-        gather_transpose(dst, &self.g2, self.layouts[1], scratch, &self.config);
-        let t2 = Instant::now();
-        // Sweep 3: plain row gather (g3) on the r×c matrix.
-        row_pass(scratch, &self.g3, self.layouts[2], dst, &self.config);
-        [t1 - t0, t2 - t1, t2.elapsed()]
-    }
-
-    fn check_lengths<T>(&self, src: &[T], dst: &[T], scratch: &[T]) {
         let n = self.len();
         assert_eq!(src.len(), n, "src length mismatch");
         assert_eq!(dst.len(), n, "dst length mismatch");
-        assert_eq!(scratch.len(), n, "scratch length mismatch");
+        let tier = simd::select::<T>(self.config.simd);
+        let t0 = Instant::now();
+        match &self.kernel {
+            Kernel::Tiled(tiled) => {
+                tiled.run(src, dst, tier);
+                [t0.elapsed(), Duration::ZERO, Duration::ZERO]
+            }
+            Kernel::Sweeps {
+                layouts,
+                g1,
+                g2,
+                g3,
+            } => {
+                assert_eq!(scratch.len(), n, "scratch length mismatch");
+                // Sweep 1: row gather (g1) fused with transpose; r×c -> c×r in dst.
+                gather_transpose(src, g1, layouts[0], dst, &self.config);
+                let t1 = Instant::now();
+                // Sweep 2: row gather (g2) fused with transpose; c×r -> r×c.
+                gather_transpose(dst, g2, layouts[1], scratch, &self.config);
+                let t2 = Instant::now();
+                // Sweep 3: plain row gather (g3) on the r×c matrix.
+                row_pass(scratch, g3, layouts[2], dst, &self.config);
+                [t1 - t0, t2 - t1, t2.elapsed()]
+            }
+        }
     }
 }
 
@@ -696,16 +722,47 @@ mod tests {
         assert!(ir.affine().is_some());
         let on = NativeScheduled::from_plan_with(&ir, KernelConfig::default()).unwrap();
         assert!(on.computed_index());
-        let off = on.clone().with_config(KernelConfig {
-            computed_index: false,
-            ..KernelConfig::default()
-        });
+        let off = NativeScheduled::from_plan_with(
+            &ir,
+            KernelConfig {
+                computed_index: false,
+                ..KernelConfig::default()
+            },
+        )
+        .unwrap();
         assert!(!off.computed_index());
         // Random plans have no descriptors: the flag alone is not enough.
         let pr = families::random(1 << 10, 3);
         let irr = PlanIr::build(&pr, W).unwrap();
         let sched = NativeScheduled::from_plan_with(&irr, KernelConfig::default()).unwrap();
         assert!(!sched.computed_index());
+    }
+
+    #[test]
+    fn tiled_kernel_holds_no_scratch_and_ignores_any_it_is_passed() {
+        let n = 1 << 12;
+        let p = families::bit_reversal(n).unwrap();
+        let ir = PlanIr::build(&p, W).unwrap();
+        let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
+        let want = reference(&p, &src);
+
+        let tiled = NativeScheduled::from_plan_with(&ir, KernelConfig::default()).unwrap();
+        assert!(tiled.computed_index());
+        assert_eq!(tiled.scratch_len(), 0);
+        let mut dst = vec![0u32; n];
+        tiled.run_with_scratch(&src, &mut dst, &mut []);
+        assert_eq!(dst, want, "empty scratch");
+        dst.fill(0);
+        let mut scratch = vec![0u32; n];
+        tiled.run_with_scratch(&src, &mut dst, &mut scratch);
+        assert_eq!(dst, want, "n-length scratch");
+
+        let sweeps = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar()).unwrap();
+        assert!(!sweeps.computed_index());
+        assert_eq!(sweeps.scratch_len(), n);
+        dst.fill(0);
+        sweeps.run_with_scratch(&src, &mut dst, &mut scratch);
+        assert_eq!(dst, want, "three sweeps");
     }
 
     #[test]
@@ -780,7 +837,8 @@ mod tests {
         assert_eq!(sched.shape().len(), 1 << 10);
         assert_eq!(sched.scratch_len(), 1 << 10);
         let cfg = sched.kernel_config();
-        let scalar = sched.clone().with_config(KernelConfig::scalar());
+        let ir = PlanIr::build(&p, W).unwrap();
+        let scalar = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar()).unwrap();
         assert_eq!(scalar.kernel_config(), KernelConfig::scalar());
         assert_eq!(cfg.tile, KernelConfig::global().tile);
     }

@@ -171,11 +171,14 @@ fn fused_chain_of_general_permutations_is_correct() {
 #[test]
 fn computed_index_engine_matches_map_load_engine() {
     let n = 1 << 16;
-    let computed = forced_engine(Route::Scheduled);
     assert!(
-        computed.stats().kernel_computed_index,
+        hmm_native::KernelConfig::default().computed_index,
         "computed-index kernels are the default"
     );
+    let computed = forced_engine(Route::Scheduled);
+    // Pin the computed-index form (the default) whatever the process env.
+    computed.set_kernel_config(hmm_native::KernelConfig::default());
+    assert!(computed.stats().kernel_computed_index);
     let map_load = forced_engine(Route::Scheduled);
     map_load.set_kernel_config(hmm_native::KernelConfig {
         computed_index: false,
