@@ -56,7 +56,7 @@ use crate::queue::{
 };
 use hmm_backend::env::parse_env;
 use hmm_backend::{Backend, ExecPlan, Executable, Route};
-use hmm_perm::distribution::distribution;
+use hmm_perm::distribution::{affine_distribution, distribution};
 use hmm_perm::Permutation;
 use hmm_plan::{PlanError, PlanIr, PlanStore, Result, StoreKey};
 use std::collections::HashMap;
@@ -978,9 +978,11 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     }
 
     /// Produce the plan for `p` (keyed by `fingerprint`) at this engine's
-    /// width: the γ decision first (scatter plans are cheap and never
-    /// touch the store), then the tier-2 store when attached, then the
-    /// structured (BMMC) fast path — a closed-form plan counted in
+    /// width. The BMMC recognizer runs once, up front: a structured `p`
+    /// gets γ_w in closed form, anything else has it measured. Then the
+    /// γ decision (scatter plans are cheap and never touch the store),
+    /// then the tier-2 store when attached, then the structured (BMMC)
+    /// fast path on the recognized matrix — a closed-form plan counted in
     /// [`EngineStats::plans_structured`] — and only for genuinely
     /// unstructured permutations a fresh König build, counted in
     /// [`EngineStats::builds`]. Both kinds of built plan are saved back
@@ -992,7 +994,12 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
     /// hit from a caller that reuses `p` verifies by pointer.
     fn construct_plan(&self, p: &Permutation, fingerprint: u64) -> Result<PermutePlan<T>> {
         let backend = &*self.core.backend;
-        let gamma = distribution(p, self.core.width);
+        let width = self.core.width;
+        let bmmc = p.as_bmmc();
+        let gamma = bmmc
+            .as_ref()
+            .and_then(|b| affine_distribution(b, width))
+            .unwrap_or_else(|| distribution(p, width));
         if gamma <= self.gamma_threshold() {
             return PermutePlan::scatter_on(backend, p, gamma, self.kernel_config());
         }
@@ -1000,7 +1007,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             let key = StoreKey {
                 fingerprint,
                 n: p.len(),
-                width: self.core.width,
+                width,
             };
             match store.load(&key) {
                 Ok(Some(ir)) if ir.matches(p) => {
@@ -1027,16 +1034,15 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
                 }
             }
         }
-        let threads = crate::par::worker_threads();
-        let ir = match PlanIr::build_structured_par(p, self.core.width, threads) {
+        let ir = match bmmc {
             // Structured fast path: affine/BMMC permutations (transpose,
             // bit-reversal, shuffle, hypercube, ...) get their pass
-            // permutations emitted in closed form — milliseconds where
-            // the coloring below takes seconds at 4M. Counted separately
-            // so the `builds` seam keeps meaning "König colorings
-            // actually performed".
-            Some(built) => {
-                let ir = built?;
+            // descriptors emitted in closed form — O(log² n) where the
+            // coloring below takes seconds at 4M. Counted separately so
+            // the `builds` seam keeps meaning "König colorings actually
+            // performed".
+            Some(bmmc) => {
+                let ir = PlanIr::build_bmmc(p, &bmmc, width)?;
                 self.core
                     .stats
                     .plans_structured
@@ -1050,7 +1056,7 @@ impl<T: Copy + Send + Sync + Default + 'static> SharedEngine<T> {
             // freshly-built plans can never disagree. (Detection above
             // already said no, so this is always a genuine coloring.)
             None => {
-                let ir = PlanIr::build_par(p, self.core.width, threads)?;
+                let ir = PlanIr::build_par(p, width, crate::par::worker_threads())?;
                 self.core.stats.builds.fetch_add(1, Ordering::Relaxed);
                 ir
             }

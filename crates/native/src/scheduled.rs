@@ -145,8 +145,9 @@ impl NativeScheduled {
     ///
     /// The kernel is chosen here, once: a plan with affine descriptors
     /// under [`KernelConfig::computed_index`] gets the one tiled sweep
-    /// and copies no gather map; any other plan copies its three gather
-    /// maps for the three fused sweeps.
+    /// and neither reads nor materializes a gather map; any other plan
+    /// copies its three gather maps for the three fused sweeps (a
+    /// structured plan materializes them from its descriptors first).
     ///
     /// The plan contract is checked here (`PlanIr::validate`): the SIMD
     /// gather tiers *clamp* indices instead of bounds-checking them
@@ -763,6 +764,34 @@ mod tests {
         dst.fill(0);
         sweeps.run_with_scratch(&src, &mut dst, &mut scratch);
         assert_eq!(dst, want, "three sweeps");
+    }
+
+    #[test]
+    fn only_the_map_load_kernel_materializes_a_structured_plan() {
+        for p in [
+            families::bit_reversal(1 << 12).unwrap(),
+            families::shuffle(1 << 13).unwrap(),
+            families::random_bmmc(1 << 12, 5).unwrap(),
+        ] {
+            let n = p.len();
+            let src: Vec<u32> = (0..n as u32).map(|v| v.wrapping_mul(2654435761)).collect();
+            let want = reference(&p, &src);
+            let ir = PlanIr::build(&p, W).unwrap();
+            assert!(!ir.maps_materialized());
+
+            let tiled = NativeScheduled::from_plan_with(&ir, KernelConfig::default()).unwrap();
+            assert!(tiled.computed_index());
+            assert!(!ir.maps_materialized(), "the tiled kernel reads no map");
+            let mut dst = vec![0u32; n];
+            tiled.run(&src, &mut dst);
+            assert_eq!(dst, want);
+
+            let sweeps = NativeScheduled::from_plan_with(&ir, KernelConfig::scalar()).unwrap();
+            assert!(ir.maps_materialized(), "the map-load sweeps copy the maps");
+            dst.fill(0);
+            sweeps.run(&src, &mut dst);
+            assert_eq!(dst, want);
+        }
     }
 
     #[test]

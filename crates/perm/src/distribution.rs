@@ -15,6 +15,7 @@
 //! algorithm's running time tracks the distribution while the scheduled
 //! algorithm's does not.
 
+use crate::matrix::{gf2_rank, Bmmc};
 use crate::permutation::Permutation;
 
 /// The distribution `γ_w(P)` (average distinct destination groups per
@@ -37,6 +38,24 @@ pub fn distribution(p: &Permutation, width: usize) -> f64 {
         warps += 1;
     }
     total_groups as f64 / warps as f64
+}
+
+/// The distribution `γ_w(P)` of an affine permutation `P(x) = A·x ⊕ b`
+/// in closed form, or `None` when `width` is not a power of two.
+///
+/// With `w = 2^k`, every warp is one coset `x₀ ⊕ span(e_0..e_{k-1})`, so
+/// its destination groups `P(x) >> k` are one coset of the image of the
+/// block of `A` with rows `≥ k` and columns `< k`. Every warp therefore
+/// touches exactly `2^rank` groups of that block, and `γ_w = 2^rank`
+/// exactly (the same `f64` as [`distribution`], which sorts every warp).
+/// When `n ≤ w` the one warp writes one group and the block is empty.
+pub fn affine_distribution(bmmc: &Bmmc, width: usize) -> Option<f64> {
+    if !width.is_power_of_two() {
+        return None;
+    }
+    let k = width.trailing_zeros();
+    let block: Vec<usize> = (0..k.min(bmmc.bits())).map(|j| bmmc.col(j) >> k).collect();
+    Some((1usize << gf2_rank(&block)) as f64)
 }
 
 /// The normalized distribution `ρ_w(P) = γ_w(P)/w ∈ [1/w, 1]`, the quantity
@@ -167,6 +186,33 @@ mod tests {
             let p = families::rotation(N, shift);
             assert!(distribution(&p, W) <= 2.0, "shift {shift}");
         }
+    }
+
+    #[test]
+    fn closed_form_equals_measured_for_affine_permutations() {
+        for n in [1usize << 5, 1 << 10, 1 << 11, 1 << 16] {
+            let mut cases: Vec<(String, Permutation)> = families::Family::ALL
+                .iter()
+                .filter(|fam| **fam != families::Family::Random)
+                .map(|fam| (fam.name().to_string(), fam.build(n, 0).unwrap()))
+                .collect();
+            for seed in [1u64, 7, 99] {
+                let p = families::random_bmmc(n, seed).unwrap();
+                cases.push((format!("random_bmmc/{seed}"), p));
+            }
+            for (name, p) in cases {
+                let bmmc = p.as_bmmc().unwrap();
+                for w in [8usize, 32] {
+                    assert_eq!(
+                        affine_distribution(&bmmc, w),
+                        Some(distribution(&p, w)),
+                        "{name} n={n} w={w}"
+                    );
+                }
+            }
+        }
+        let id = families::identical(64).as_bmmc().unwrap();
+        assert_eq!(affine_distribution(&id, 12), None);
     }
 
     #[test]

@@ -263,6 +263,25 @@ impl Bmmc {
         }
     }
 
+    /// True iff `p` is exactly this map (`p.apply(x) == self.apply(x)`
+    /// for every `x`): one incremental Gray-style walk over the domain,
+    /// allocation-free.
+    pub fn realises(&self, p: &Permutation) -> bool {
+        let map = p.as_slice();
+        if map.len() != self.len() || map[0] != self.offset {
+            return false;
+        }
+        let mut val = self.offset;
+        map.iter().enumerate().skip(1).all(|(i, &dest)| {
+            let mut changed = (i - 1) ^ i;
+            while changed != 0 {
+                val ^= self.cols[changed.trailing_zeros() as usize];
+                changed &= changed - 1;
+            }
+            dest == val
+        })
+    }
+
     /// Materialize the map as a [`Permutation`] (destination convention:
     /// the returned table sends source index `i` to `self.apply(i)`).
     ///

@@ -348,21 +348,11 @@ impl Permutation {
         let bits = n.trailing_zeros();
         let offset = map[0];
         let cols: Vec<usize> = (0..bits).map(|j| map[1usize << j] ^ offset).collect();
-        // Verify the candidate over the full domain.
-        let mut val = offset;
-        for (i, &dest) in map.iter().enumerate().skip(1) {
-            let mut changed = (i - 1) ^ i;
-            while changed != 0 {
-                val ^= cols[changed.trailing_zeros() as usize];
-                changed &= changed - 1;
-            }
-            if dest != val {
-                return None;
-            }
-        }
-        // The affine map agrees with a verified bijection on every point,
-        // so its linear part is invertible and construction cannot fail.
-        Some(Bmmc::from_cols(cols, offset).expect("verified bijection has invertible linear part"))
+        // Verify the candidate over the full domain. Dependent columns
+        // cannot describe a bijection, so a singular candidate is rejected
+        // before the walk.
+        let bmmc = Bmmc::from_cols(cols, offset).ok()?;
+        bmmc.realises(self).then_some(bmmc)
     }
 
     /// Compose a chain of permutations **in application order**:

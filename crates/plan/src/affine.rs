@@ -1,8 +1,8 @@
 //! Per-pass affine index descriptors: the closed form of a structured
 //! plan's gather maps.
 //!
-//! For a BMMC (GF(2)-affine) permutation, the closed-form emitter
-//! (`PlanIr::build_bmmc`) produces three gather maps that are themselves
+//! For a BMMC (GF(2)-affine) permutation, every pass of the closed-form
+//! plan (`PlanIr::build_bmmc`) gathers through a map that is itself
 //! affine over the bits of the flat element position: there is a mask
 //! `cols[b]` per position bit and an offset such that
 //!
@@ -11,23 +11,30 @@
 //! ```
 //!
 //! An [`AffineStep`] is that function as data — `O(log n)` words instead
-//! of the `O(n)` materialized map. The interpreter and the WGSL kernels
+//! of the `O(n)` materialized map — and for a structured plan the three
+//! descriptors *are* the plan. The interpreter and the WGSL kernels
 //! evaluate it per element instead of loading `g[p]` from memory; the
 //! native backend chains all three into the plan's whole source map
-//! ([`crate::PlanIr::source_bmmc`]) and runs that as one tiled sweep.
-//! Descriptors are **fit from the materialized map and verified against
-//! every entry** (the same probe-then-Gray-walk scheme as
-//! `Permutation::as_bmmc`), so an attached descriptor is exact by
-//! construction, never a heuristic.
+//! ([`crate::PlanIr::source_bmmc`]) and runs that as one tiled sweep. The
+//! map itself is materialized ([`AffineStep::materialize`]) only for a
+//! consumer that asks for it.
+//!
+//! The builder solves each descriptor from O(log n) probes of the pass's
+//! closed-form step and one GF(2) inverse; it is the canonical form that
+//! [`AffineStep::fit`] reads off (and verifies against) a materialized
+//! map, so both routes yield the same descriptor and the same encoded
+//! bytes.
 //!
 //! Geometry: a descriptor belongs to one pass whose matrix view has
 //! `2^col_bits` columns. Gather indices live in `0..2^col_bits`, and the
 //! flat position `p = row · 2^col_bits + j` splits cleanly: masks
 //! `cols[..col_bits]` belong to the in-row coordinate `j` (the per-lane
 //! part a SIMD kernel folds), masks `cols[col_bits..]` belong to the row
-//! index (folded once per row into [`AffineStep::row_base`]).
+//! index (folded once per row into [`AffineStep::row_base`]). Every row
+//! gathers a permutation of `0..2^col_bits` exactly when the low masks
+//! are linearly independent ([`AffineStep::rows_are_permutations`]).
 
-use crate::error::{PlanError, Result};
+use hmm_perm::Bmmc;
 
 /// The affine closed form of one pass's gather map (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,34 +182,46 @@ impl AffineStep {
         out
     }
 
+    /// True iff every row gathers a permutation of its row: the low
+    /// (in-row) masks are linearly independent over GF(2). O(log² n); the
+    /// row-constant part of the fold only relabels a row's indices.
+    pub fn rows_are_permutations(&self) -> bool {
+        self.cols
+            .get(..self.col_bits as usize)
+            .is_some_and(|lo| Bmmc::from_cols(lo.iter().map(|&m| m as usize).collect(), 0).is_ok())
+    }
+
     /// Validate the descriptor's geometry against the pass it claims to
     /// describe: `n` elements in rows of `cols` entries, every mask and
-    /// the offset in range. Hostile bytes surface here as
-    /// [`PlanError::Codec`] before any `1 << cols.len()` allocation.
-    pub(crate) fn check_geometry(&self, name: &str, n: usize, cols: usize) -> Result<()> {
-        let bad = |reason: String| PlanError::Codec { reason };
+    /// the offset in range. Hostile bytes surface here, as a reason the
+    /// caller wraps in its error, before any `1 << cols.len()`
+    /// allocation.
+    pub(crate) fn check_geometry(
+        &self,
+        name: &str,
+        n: usize,
+        cols: usize,
+    ) -> std::result::Result<(), String> {
         if !n.is_power_of_two() || !cols.is_power_of_two() {
-            return Err(bad(format!(
+            return Err(format!(
                 "{name}: affine descriptor over non-power-of-two geometry {n}/{cols}"
-            )));
+            ));
         }
         if self.cols.len() != n.trailing_zeros() as usize {
-            return Err(bad(format!(
+            return Err(format!(
                 "{name}: {} masks, {n} elements need {}",
                 self.cols.len(),
                 n.trailing_zeros()
-            )));
+            ));
         }
         if self.col_bits != cols.trailing_zeros() {
-            return Err(bad(format!(
+            return Err(format!(
                 "{name}: col_bits {} does not match row length {cols}",
                 self.col_bits
-            )));
+            ));
         }
         if self.offset as usize >= cols || self.cols.iter().any(|&m| m as usize >= cols) {
-            return Err(bad(format!(
-                "{name}: mask or offset out of range 0..{cols}"
-            )));
+            return Err(format!("{name}: mask or offset out of range 0..{cols}"));
         }
         Ok(())
     }
@@ -267,6 +286,31 @@ mod tests {
         assert!(step.check_geometry("g", 12, 16).is_err()); // not a power of two
         let oob = AffineStep::from_parts(2, vec![0, 1, 4, 0], 0);
         assert!(oob.check_geometry("g", 16, 4).is_err()); // mask ≥ row length
+    }
+
+    #[test]
+    fn rows_are_permutations_exactly_when_low_masks_are_independent() {
+        // Rows of 4 (two low masks), 16 positions: the high masks and the
+        // offset only relabel a row, so they never matter.
+        for (lo, ok) in [
+            ([1u32, 2], true),
+            ([3, 1], true),
+            ([1, 1], false),
+            ([0, 2], false),
+        ] {
+            let step = AffineStep::from_parts(2, vec![lo[0], lo[1], 3, 1], 2);
+            step.check_geometry("g", 16, 4).unwrap();
+            assert_eq!(step.rows_are_permutations(), ok, "{lo:?}");
+            let map = step.materialize();
+            let rows_ok = map.chunks_exact(4).all(|row| {
+                let mut seen = [false; 4];
+                row.iter()
+                    .all(|&v| !std::mem::replace(&mut seen[v as usize], true))
+            });
+            assert_eq!(rows_ok, ok, "{lo:?} materialized");
+        }
+        // Fewer masks than the row needs is never a permutation.
+        assert!(!AffineStep::from_parts(3, vec![1, 2], 0).rows_are_permutations());
     }
 
     #[test]

@@ -24,11 +24,13 @@
 //! The gather maps are *not* serialised: they are per-row inverses of the
 //! steps and are re-derived on decode, which keeps files smaller and means
 //! a corrupt file cannot smuggle in gather entries inconsistent with its
-//! steps. Structured plans go further: their gathers have a verified
-//! closed form ([`crate::AffineStep`]), so the file stores the three
-//! descriptors — O(log² n) bytes instead of 3 × O(n) maps — and the maps
-//! are rebuilt on decode by the same Gray-style walk that verified the
-//! fit. Version-1 files (always full maps, no `kind` field) still decode.
+//! steps. Structured plans go further: their gathers have a closed form
+//! ([`crate::AffineStep`]) that is the whole plan, so the file stores the
+//! three descriptors — O(log² n) bytes instead of 3 × O(n) maps — and
+//! decoding one yields a descriptor-only plan: its geometry, low-mask
+//! rank and composed source map are checked in O(log² n), and no map is
+//! materialized. Version-1 files (always full maps, no `kind` field)
+//! still decode.
 //! Decoding never panics: truncation, a flipped byte, an unknown version
 //! or kind, inconsistent section lengths, out-of-range descriptors, or
 //! non-permutation rows all surface as [`PlanError::Codec`].
@@ -331,8 +333,11 @@ fn check_no_trailing(cur: &Cursor<'_>) -> Result<()> {
 /// Decode a plan from bytes. Every malformed input — truncated, bit-flipped,
 /// wrong magic or version, inconsistent sections — yields
 /// [`PlanError::Codec`]; a successful decode is internally consistent (each
-/// step row validated as a permutation) but is **not** proof the plan is
-/// the one the caller wants: verify with [`PlanIr::matches`] before use.
+/// step row, or each descriptor's gathered row, validated as a
+/// permutation) but is **not** proof the plan is the one the caller
+/// wants: verify with [`PlanIr::matches`] before use. A full (kind 0)
+/// entry decodes in O(n); a compact (kind 1) entry in O(log² n), into a
+/// plan that materializes its maps only if a consumer asks for them.
 pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
     // Checksum first: it covers everything, so random corruption is caught
     // before any field is interpreted.
@@ -443,11 +448,12 @@ pub fn decode(bytes: &[u8]) -> Result<PlanIr> {
         }
     };
     // Belt-and-braces: both construction paths have already validated
-    // the step rows (and, for compact files, the descriptor geometry),
-    // so this cannot fail on any byte stream — but decode is a front
-    // door to the clamped gather kernels, and the full contract check is
-    // what keeps "corrupt plan" a typed error rather than silently wrong
-    // output if either invariant ever drifts.
+    // the step rows (for compact files, the descriptor geometry and
+    // low-mask rank), so this cannot fail on any byte stream — but
+    // decode is a front door to the clamped gather kernels, and the
+    // contract check (O(log² n) for a compact plan) is what keeps
+    // "corrupt plan" a typed error rather than silently wrong output if
+    // either invariant ever drifts.
     ir.validate()?;
     Ok(ir)
 }

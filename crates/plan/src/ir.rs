@@ -1,4 +1,4 @@
-//! The backend-neutral plan IR: the offline König decomposition of one
+//! The backend-neutral plan IR: the offline decomposition of one
 //! permutation as a first-class, reusable artifact.
 //!
 //! The paper's premise is that schedule construction is *offline*: the
@@ -10,32 +10,64 @@
 //!
 //! * the matrix shape `r × c` and the machine width `w` the plan was
 //!   built for;
-//! * the three **pass permutations** (flat destination maps) produced by
-//!   the coloring: step 1 routes each element to the column named by its
-//!   edge color, step 2 to its destination row, step 3 to its destination
-//!   column (the Figure 6 argument);
-//! * the derived flat **gather maps** (per-row inverses) that sweep-based
-//!   executors consume directly;
-//! * the measured distribution `γ_w(P)` (the scatter/scheduled crossover
-//!   input) and the permutation's 64-bit fingerprint (the cache identity).
+//! * the three **pass permutations** (flat destination maps): step 1
+//!   routes each element to the column named by its edge color, step 2
+//!   to its destination row, step 3 to its destination column (the
+//!   Figure 6 argument);
+//! * the derived flat **gather maps** (per-row inverses) that map-loading
+//!   sweep executors consume;
+//! * the distribution `γ_w(P)` (the scatter/scheduled crossover input)
+//!   and the permutation's 64-bit fingerprint (the cache identity).
+//!
+//! A plan holds its passes in one of two forms. A König-colored plan
+//! holds the six flat maps. A structured (BMMC) plan holds only three
+//! [`AffineStep`] descriptors, O(log² n) words, and derives the maps from
+//! them on first request. Building, decoding, validating and fusing a
+//! structured plan therefore never touches an `n`-length array.
 //!
 //! The simulator (`hmm-offperm`) stages the pass permutations into its
-//! row/column schedules; the CPU backend (`hmm-native`) copies the gather
-//! maps into its fused sweeps; the codec (`crate::codec`) serialises the
-//! whole thing for the cross-process store (`crate::store`). None of them
+//! row/column schedules. The CPU backend (`hmm-native`) runs a structured
+//! plan as one tiled sweep over [`PlanIr::source_bmmc`] and copies the
+//! gather maps only for the three map-loading sweeps (König plans, or
+//! `computed_index` off). The codec (`crate::codec`) serialises either
+//! form for the cross-process store (`crate::store`). None of them
 //! re-runs the coloring.
 
 use crate::affine::AffineStep;
 use crate::error::{PlanError, Result};
 use hmm_graph::{edge_color_par, edge_color_with, Parallelism, RegularBipartite, Strategy};
-use hmm_perm::distribution::distribution;
+use hmm_perm::distribution::{affine_distribution, distribution};
 use hmm_perm::{scheduled_shape, Bmmc, MatrixShape, Permutation};
+use std::sync::OnceLock;
 
 /// A built, backend-neutral permutation plan (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Plans compare by logical content: shape, width, γ, fingerprint and
+/// descriptors, and the maps wherever both sides hold them (always, for
+/// König-colored plans). A structured plan equals its own clone whether
+/// or not either has materialized its maps.
+#[derive(Debug, Clone)]
 pub struct PlanIr {
     shape: MatrixShape,
     width: usize,
+    /// Distribution γ_w(P) at `width`.
+    gamma: f64,
+    /// `Permutation::fingerprint()` of the source permutation.
+    fingerprint: u64,
+    /// Closed-form descriptors of the three gather maps, present exactly
+    /// when the plan came out of the BMMC emitter. They are the whole
+    /// plan: its maps are derived from them, so computed-index executors
+    /// are byte-equivalent to map-loading ones by construction. `None`
+    /// for König-colored plans (their gathers are not affine).
+    affine: Option<[AffineStep; 3]>,
+    /// The six flat maps: set at construction for König-colored plans,
+    /// materialized from `affine` on first request otherwise.
+    maps: OnceLock<PassMaps>,
+}
+
+/// The flat step and gather maps of a plan.
+#[derive(Debug, Clone, PartialEq)]
+struct PassMaps {
     /// Step 1 destination maps, flattened `r × c`: entry `i·c + j` is the
     /// color (column) element `(i, j)` moves to. Each row is a permutation
     /// of `0..c`.
@@ -48,33 +80,96 @@ pub struct PlanIr {
     /// destination column of the color-`k` element now in row `i'`. Each
     /// row is a permutation of `0..c`.
     step3: Vec<u32>,
-    /// Derived gather map for pass 1 (`r × c`): per-row inverse of `step1`.
+    /// Gather map for pass 1 (`r × c`): per-row inverse of `step1`.
     g1: Vec<u32>,
-    /// Derived gather map for pass 2 (`c × r`): per-row inverse of `step2`.
+    /// Gather map for pass 2 (`c × r`): per-row inverse of `step2`.
     g2: Vec<u32>,
-    /// Derived gather map for pass 3 (`r × c`): per-row inverse of `step3`.
+    /// Gather map for pass 3 (`r × c`): per-row inverse of `step3`.
     g3: Vec<u32>,
-    /// Measured distribution γ_w(P) at `width`.
-    gamma: f64,
-    /// `Permutation::fingerprint()` of the source permutation.
-    fingerprint: u64,
-    /// Closed-form descriptors of the three gather maps, present exactly
-    /// when the plan came out of the BMMC emitter: each is fit from its
-    /// materialized map and verified entry-by-entry, so executors may
-    /// compute `g[p]` in registers instead of loading it. `None` for
-    /// König-colored plans (their gathers are not affine).
-    affine: Option<[AffineStep; 3]>,
+}
+
+impl PassMaps {
+    /// Complete three step maps with their per-row inverses.
+    fn from_steps(shape: MatrixShape, step1: Vec<u32>, step2: Vec<u32>, step3: Vec<u32>) -> Self {
+        let (r, c) = (shape.rows, shape.cols);
+        PassMaps {
+            g1: invert_rows(&step1, c),
+            g2: invert_rows(&step2, r),
+            g3: invert_rows(&step3, c),
+            step1,
+            step2,
+            step3,
+        }
+    }
+
+    /// The map half of the plan contract: all six arrays sized to the
+    /// shape, every row a permutation of its row, and every gather map
+    /// the exact per-row inverse of its step.
+    fn check(&self, shape: MatrixShape) -> std::result::Result<(), String> {
+        let (r, c) = (shape.rows, shape.cols);
+        let n = shape.len();
+        let arrays: [(&str, &[u32], usize); 6] = [
+            ("step1", &self.step1, c),
+            ("step2", &self.step2, r),
+            ("step3", &self.step3, c),
+            ("gather1", &self.g1, c),
+            ("gather2", &self.g2, r),
+            ("gather3", &self.g3, c),
+        ];
+        for (name, flat, cols) in arrays {
+            if flat.len() != n {
+                return Err(format!(
+                    "{name} has {} entries, shape needs {n}",
+                    flat.len()
+                ));
+            }
+            if !rows_are_permutations(flat, cols) {
+                return Err(format!("{name} rows are not permutations of 0..{cols}"));
+            }
+        }
+        for (name, step, gather, cols) in [
+            ("gather1", &self.step1, &self.g1, c),
+            ("gather2", &self.step2, &self.g2, r),
+            ("gather3", &self.step3, &self.g3, c),
+        ] {
+            for (row_idx, row) in step.chunks_exact(cols).enumerate() {
+                let base = row_idx * cols;
+                for (j, &d) in row.iter().enumerate() {
+                    if gather[base + d as usize] as usize != j {
+                        return Err(format!(
+                            "{name} is not the row inverse of its step at row {row_idx}"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl PartialEq for PlanIr {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape
+            && self.width == other.width
+            && self.gamma == other.gamma
+            && self.fingerprint == other.fingerprint
+            && self.affine == other.affine
+            && match (self.maps.get(), other.maps.get()) {
+                (Some(a), Some(b)) => a == b,
+                _ => true,
+            }
+    }
 }
 
 impl PlanIr {
     /// Build the plan for `p` on a width-`width` machine. Consults the
     /// BMMC recognizer first: structured permutations (transpose,
     /// bit-reversal, shuffle/omega, hypercube, ...) get their three pass
-    /// permutations emitted in closed form — pure index arithmetic, no
-    /// transfer multigraph, no König coloring — which turns a multi-second
-    /// cold build at 4M into milliseconds. Everything else falls back to
-    /// the general coloring pipeline with the default strategy. Use
-    /// [`PlanIr::build_with`] to force the general pipeline.
+    /// descriptors emitted in closed form — pure GF(2) algebra, no
+    /// transfer multigraph, no König coloring, no `n`-length map — so
+    /// the recognizer's O(n) check is the whole cold build. Everything
+    /// else falls back to the general coloring pipeline with the default
+    /// strategy. Use [`PlanIr::build_with`] to force the general pipeline.
     pub fn build(p: &Permutation, width: usize) -> Result<Self> {
         if let Some(plan) = Self::build_structured(p, width) {
             return plan;
@@ -89,20 +184,19 @@ impl PlanIr {
     }
 
     /// The parallel plan compiler: [`PlanIr::build`] fanned out over a
-    /// scoped-thread budget of `threads`. Every stage parallelises — the
-    /// König coloring forks its split tree (and colors connected
-    /// components of the transfer graph independently), and the step
-    /// fills, row inversions, and γ_w measurement chunk over rows. The
-    /// result is **byte-identical** to the sequential builder at any
-    /// thread count: the budget relocates work, it never reorders the
-    /// deterministic partitions (pinned by `tests/parallel.rs` and the
-    /// `hmm-graph` determinism suite). `threads <= 1` *is* the sequential
-    /// builder.
+    /// scoped-thread budget of `threads`. Every stage of the König
+    /// pipeline parallelises — the coloring forks its split tree (and
+    /// colors connected components of the transfer graph independently),
+    /// and the step fills, row inversions, and γ_w measurement chunk over
+    /// rows. The result is **byte-identical** to the sequential builder
+    /// at any thread count: the budget relocates work, it never reorders
+    /// the deterministic partitions (pinned by `tests/parallel.rs` and
+    /// the `hmm-graph` determinism suite). `threads <= 1` *is* the
+    /// sequential builder.
     /// Like [`PlanIr::build`], the recognizer runs first: structured
-    /// permutations take the closed-form path (also fanned out over the
-    /// budget) and skip the coloring entirely.
+    /// permutations take the closed-form path and skip the coloring.
     pub fn build_par(p: &Permutation, width: usize, threads: usize) -> Result<Self> {
-        if let Some(plan) = Self::build_structured_par(p, width, threads) {
+        if let Some(plan) = Self::build_structured(p, width) {
             return plan;
         }
         let shape = scheduled_shape(p.len(), width)?;
@@ -111,28 +205,29 @@ impl PlanIr {
 
     /// The structured fast path alone: `Some(plan)` when `p` is a BMMC
     /// (affine bit-matrix) permutation, `None` otherwise. The plan's
-    /// three pass permutations are emitted in closed form from the bit
+    /// three pass descriptors are emitted in closed form from the bit
     /// matrix — see [`PlanIr::build_bmmc`] for the construction — so no
     /// transfer multigraph or König coloring is ever built. Exposed so
     /// engines can count structured builds separately from colorings.
     pub fn build_structured(p: &Permutation, width: usize) -> Option<Result<Self>> {
-        Self::build_structured_par(p, width, 1)
+        let bmmc = p.as_bmmc()?;
+        Some(Self::build_bmmc(p, &bmmc, width))
     }
 
-    /// [`PlanIr::build_structured`] over a scoped-thread budget. Like
-    /// [`PlanIr::build_par`], the result is byte-identical at any thread
-    /// count (every fill is a pure function of the output position).
+    /// [`PlanIr::build_structured`] for callers that thread a budget
+    /// through: after the recognizer's O(n) check the closed form has no
+    /// O(n) work left to fan out, so `threads` is unused.
     pub fn build_structured_par(
         p: &Permutation,
         width: usize,
-        threads: usize,
+        _threads: usize,
     ) -> Option<Result<Self>> {
-        let bmmc = p.as_bmmc()?;
-        Some(Self::build_bmmc_par(p, &bmmc, width, threads))
+        Self::build_structured(p, width)
     }
 
     /// Emit the closed-form plan of a recognized BMMC permutation
-    /// (`bmmc` must realise `p`; pass the recognizer's output).
+    /// (`bmmc` must realise `p`; pass the recognizer's output). O(log² n)
+    /// after `p`'s fingerprint, which [`Permutation`] caches.
     ///
     /// Split each index into `ρ = log r` row bits and `γ = log c` column
     /// bits, partitioning the bit matrix `M` into blocks `[A B; C D]`
@@ -147,18 +242,12 @@ impl PlanIr {
     /// permutations, obtained here by index arithmetic alone. For the
     /// square transpose `G = I`, recovering the classic diagonal
     /// staging of the paper's Figure 4.
+    ///
+    /// Every step is affine in its flat position, so each pass's gather
+    /// descriptor comes from O(log n) probes of the step and one GF(2)
+    /// inverse, and γ_w from one rank ([`affine_distribution`]). No map
+    /// is filled.
     pub fn build_bmmc(p: &Permutation, bmmc: &Bmmc, width: usize) -> Result<Self> {
-        Self::build_bmmc_par(p, bmmc, width, 1)
-    }
-
-    /// [`PlanIr::build_bmmc`] over a scoped-thread budget (byte-identical
-    /// at any thread count).
-    pub fn build_bmmc_par(
-        p: &Permutation,
-        bmmc: &Bmmc,
-        width: usize,
-        threads: usize,
-    ) -> Result<Self> {
         let n = p.len();
         if bmmc.len() != n {
             return Err(PlanError::SizeMismatch {
@@ -167,115 +256,48 @@ impl PlanIr {
             });
         }
         let shape = scheduled_shape(n, width)?;
-        let par = Parallelism::threads(threads);
         let (r, c) = (shape.rows, shape.cols);
-        debug_assert!(r.is_power_of_two() && c.is_power_of_two());
-        let cb = c.trailing_zeros();
+        let (rb, cb) = (r.trailing_zeros(), c.trailing_zeros());
+        let bits = rb + cb;
+        let (rmask, cmask) = (r - 1, c - 1);
+        let g = color_mixer(bmmc, rb, cb);
+        // The color mix `G·i` of row `i`.
+        let mix = |i: usize| fold(&g, i);
+        // Destination of row `i`'s color-`k` element, at column `k ⊕ G·i`.
+        let dest = |i: usize, k: usize| bmmc.apply(i << cb | (k ^ mix(i)));
 
-        // Per-row color mix `mix[i] = G·i` and the two halves of the
-        // destination map `dest(i·c + j) = rowm[i] ⊕ colm[j] ⊕ offset`,
-        // each filled by an incremental Gray-style walk (consecutive
-        // indices differ in few bits).
-        let g = color_mixer(bmmc, r.trailing_zeros(), cb);
-        let mix = gray_table(r, |t| g[t]);
-        let rowm = gray_table(r, |t| bmmc.col(cb + t as u32));
-        let colm = gray_table(c, |t| bmmc.col(t as u32));
-        let off = bmmc.offset();
-        let cmask = c - 1;
-
-        // Step 1 routes element (i, j) to color k = mix[i] ⊕ j. XOR by a
-        // row constant is an involution, so step 1 is its own gather map.
-        let mut step1 = vec![0u32; n];
-        {
-            let mix = &mix;
-            par.run_rows(&mut step1, c, |first_row, chunk| {
-                for (rr, row) in chunk.chunks_exact_mut(c).enumerate() {
-                    let m = mix[first_row + rr];
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot = (m ^ j) as u32;
-                    }
-                }
-            });
-        }
-        let g1 = step1.clone();
-
-        // Step 2 (`c × r`): the color-k element of row i sits at column
-        // j = k ⊕ mix[i]; its destination row is the high half of the
-        // affine map.
-        let mut step2 = vec![0u32; n];
-        {
-            let (mix, rowm, colm) = (&mix, &rowm, &colm);
-            par.run_rows(&mut step2, r, |first_k, chunk| {
-                for (kk, row) in chunk.chunks_exact_mut(r).enumerate() {
-                    let k = first_k + kk;
-                    for (i, slot) in row.iter_mut().enumerate() {
-                        let dest = rowm[i] ^ colm[k ^ mix[i]] ^ off;
-                        *slot = (dest >> cb) as u32;
-                    }
-                }
-            });
-        }
-        let g2 = invert_rows_par(&step2, r, par);
-
-        // Step 3 (`r × c`): recover the source row of the color-k element
-        // now in destination row di, and emit its destination column.
-        let mut step3 = vec![0u32; n];
-        {
-            let (mix, rowm, colm, g2) = (&mix, &rowm, &colm, &g2);
-            par.run_rows(&mut step3, c, |first_di, chunk| {
-                for (dd, row) in chunk.chunks_exact_mut(c).enumerate() {
-                    let di = first_di + dd;
-                    for (k, slot) in row.iter_mut().enumerate() {
-                        let i = g2[k * r + di] as usize;
-                        let dest = rowm[i] ^ colm[k ^ mix[i]] ^ off;
-                        *slot = (dest & cmask) as u32;
-                    }
-                }
-            });
-        }
-        let g3 = invert_rows_par(&step3, c, par);
-
-        debug_assert!(rows_are_permutations(&step1, c));
-        debug_assert!(rows_are_permutations(&step2, r));
-        debug_assert!(rows_are_permutations(&step3, c));
-
-        // Every gather map above is affine over the flat-position bits
-        // (each is built from XORs of per-bit constants), so the fit
-        // always succeeds; it still runs the full O(n) verification, so
-        // a descriptor is attached only when provably exact.
-        let affine = (|| {
-            Some([
-                AffineStep::fit(&g1, c)?,
-                AffineStep::fit(&g2, r)?,
-                AffineStep::fit(&g3, c)?,
-            ])
-        })();
-        debug_assert!(affine.is_some(), "BMMC gather maps are affine");
-
+        // Step 1 (`r × c`) routes element (i, j) to color `G·i ⊕ j`.
+        let g1 = gather_descriptor(bits, c, |p| mix(p >> cb) ^ (p & cmask))?;
+        // Step 2 (`c × r`): the destination row of row i's color-k element.
+        let g2 = gather_descriptor(bits, r, |q| dest(q & rmask, q >> rb) >> cb)?;
+        // Step 3 (`r × c`): the color-k element now in row di came from
+        // row `g2(k·r + di)`; emit its destination column.
+        let g3 = gather_descriptor(bits, c, |q| {
+            let (di, k) = (q >> cb, q & cmask);
+            dest(g2.eval(k << rb | di) as usize, k) & cmask
+        })?;
+        let gamma = affine_distribution(bmmc, width)
+            .expect("scheduled_shape admits only power-of-two widths");
         Ok(PlanIr {
             shape,
             width,
-            step1,
-            step2,
-            step3,
-            g1,
-            g2,
-            g3,
-            gamma: distribution_par(p, width, par),
+            gamma,
             fingerprint: p.fingerprint(),
-            affine,
+            affine: Some([g1, g2, g3]),
+            maps: OnceLock::new(),
         })
     }
 
     /// The plan of the composite permutation "apply `first`, then
     /// `self`" — plan fusion. A fused chain costs one 3-sweep memory
     /// round trip where executing the plans back to back costs one per
-    /// link. When both plans realise BMMC permutations the composite is
-    /// computed as a GF(2) matrix product and emitted closed-form;
-    /// otherwise the permutations are composed and the composite planned
-    /// once (at most one König build per fused chain). The result is
-    /// keyed by the composite permutation's own fingerprint, so engine
-    /// caches treat it like any other plan.
+    /// link. When both plans carry descriptors the composite is their
+    /// GF(2) matrix product, emitted closed-form: the composite
+    /// permutation is built once, for its fingerprint. Otherwise the
+    /// permutations are recomposed and the composite planned once (at
+    /// most one König build per fused chain). The result is keyed by the
+    /// composite permutation's own fingerprint, so engine caches treat
+    /// it like any other plan.
     pub fn compose(&self, first: &PlanIr) -> Result<PlanIr> {
         self.compose_par(first, 1)
     }
@@ -288,13 +310,15 @@ impl PlanIr {
                 got: first.len(),
             });
         }
-        let p2 = self.recompose();
-        let p1 = first.recompose();
-        if let (Some(b2), Some(b1)) = (p2.as_bmmc(), p1.as_bmmc()) {
-            let fused = b2.compose(&b1);
-            return Self::build_bmmc_par(&fused.to_permutation(), &fused, self.width, threads);
+        if let (Some(s2), Some(s1)) = (self.source_bmmc(), first.source_bmmc()) {
+            let fused = s2.inverse().compose(&s1.inverse());
+            return Self::build_bmmc(&fused.to_permutation(), &fused, self.width);
         }
-        Self::build_par(&p2.compose(&p1), self.width, threads)
+        Self::build_par(
+            &self.recompose().compose(&first.recompose()),
+            self.width,
+            threads,
+        )
     }
 
     /// [`PlanIr::build_par`] on an explicit shape with an explicit
@@ -398,19 +422,16 @@ impl PlanIr {
         let g1 = invert_rows_par(&step1, c, par);
         let g3 = invert_rows_par(&step3, c, par);
 
-        Ok(PlanIr {
-            shape,
-            width,
+        let maps = PassMaps {
             step1,
             step2,
             step3,
             g1,
             g2,
             g3,
-            gamma: distribution_par(p, width, par),
-            fingerprint: p.fingerprint(),
-            affine: None,
-        })
+        };
+        let gamma = distribution_par(p, width, par);
+        Ok(Self::with_maps(shape, width, maps, gamma, p.fingerprint()))
     }
 
     /// Build on an explicit matrix shape (exposed for tests with
@@ -449,23 +470,9 @@ impl PlanIr {
             step2[k * r + i] = di as u32;
             step3[di * c + k] = dj as u32;
         }
-        let g1 = invert_rows(&step1, c);
-        let g2 = invert_rows(&step2, r);
-        let g3 = invert_rows(&step3, c);
-
-        Ok(PlanIr {
-            shape,
-            width,
-            step1,
-            step2,
-            step3,
-            g1,
-            g2,
-            g3,
-            gamma: distribution(p, width),
-            fingerprint: p.fingerprint(),
-            affine: None,
-        })
+        let maps = PassMaps::from_steps(shape, step1, step2, step3);
+        let gamma = distribution(p, width);
+        Ok(Self::with_maps(shape, width, maps, gamma, p.fingerprint()))
     }
 
     /// Reassemble a plan from raw parts — the codec's decode path. The
@@ -500,34 +507,20 @@ impl PlanIr {
                 });
             }
         }
-        let g1 = invert_rows(&step1, c);
-        let g2 = invert_rows(&step2, r);
-        let g3 = invert_rows(&step3, c);
-        Ok(PlanIr {
-            shape,
-            width,
-            step1,
-            step2,
-            step3,
-            g1,
-            g2,
-            g3,
-            gamma,
-            fingerprint,
-            affine: None,
-        })
+        let maps = PassMaps::from_steps(shape, step1, step2, step3);
+        Ok(Self::with_maps(shape, width, maps, gamma, fingerprint))
     }
 
-    /// Reassemble a plan from its compact descriptor form — the codec's
-    /// decode path for structured plan files, which carry only the three
-    /// [`AffineStep`]s (O(log² n) bytes) instead of the maps. Each
-    /// descriptor's geometry is checked *before* any size-`n` allocation,
-    /// its materialized gather rows are validated as permutations, and
-    /// the steps are re-derived by row inversion — so hostile descriptor
-    /// bytes yield [`PlanError::Codec`], never a panic or an out-of-range
-    /// gather. Fitting on the encode side verified the descriptors
-    /// against the built maps entry-by-entry, so this reconstruction is
-    /// field-identical to the plan that was encoded.
+    /// Reassemble a structured plan from its compact descriptor form —
+    /// the codec's decode path for structured plan files, which carry
+    /// only the three [`AffineStep`]s (O(log² n) bytes). The plan stays
+    /// descriptor-only: nothing `n`-sized is allocated. Each descriptor
+    /// must fit its pass's geometry and have an invertible low-mask
+    /// block (so every row it gathers is a permutation of the row);
+    /// hostile descriptor bytes yield [`PlanError::Codec`], never a panic
+    /// or an out-of-range gather. The descriptors are the canonical form
+    /// the encoder wrote, so the reconstruction equals the plan that was
+    /// encoded.
     pub(crate) fn from_affine(
         shape: MatrixShape,
         width: usize,
@@ -535,32 +528,63 @@ impl PlanIr {
         gamma: f64,
         fingerprint: u64,
     ) -> Result<Self> {
-        let (r, c) = (shape.rows, shape.cols);
-        let n = shape.len();
-        let mut gathers = Vec::with_capacity(3);
-        for (name, step, cols) in [
-            ("affine1", &affine[0], c),
-            ("affine2", &affine[1], r),
-            ("affine3", &affine[2], c),
-        ] {
-            step.check_geometry(name, n, cols)?;
-            let g = step.materialize();
-            if !rows_are_permutations(&g, cols) {
-                return Err(PlanError::Codec {
-                    reason: format!("{name} does not materialize row permutations of 0..{cols}"),
-                });
-            }
-            gathers.push(g);
+        check_descriptors(shape, &affine).map_err(|reason| PlanError::Codec { reason })?;
+        Ok(PlanIr {
+            shape,
+            width,
+            gamma,
+            fingerprint,
+            affine: Some(affine),
+            maps: OnceLock::new(),
+        })
+    }
+
+    /// A plan that holds its six maps from the start (König-colored).
+    fn with_maps(
+        shape: MatrixShape,
+        width: usize,
+        maps: PassMaps,
+        gamma: f64,
+        fingerprint: u64,
+    ) -> Self {
+        PlanIr {
+            shape,
+            width,
+            gamma,
+            fingerprint,
+            affine: None,
+            maps: OnceLock::from(maps),
         }
-        // Row inversion is an involution, so inverting the gathers
-        // recovers the steps and `from_steps` re-derives these exact
-        // gather maps.
-        let step3 = invert_rows(&gathers.pop().expect("three gathers"), c);
-        let step2 = invert_rows(&gathers.pop().expect("two gathers"), r);
-        let step1 = invert_rows(&gathers.pop().expect("one gather"), c);
-        let mut ir = Self::from_steps(shape, width, step1, step2, step3, gamma, fingerprint)?;
-        ir.affine = Some(affine);
-        Ok(ir)
+    }
+
+    /// The six flat maps, materialized from the descriptors on the first
+    /// call for a structured plan: each gather map by one Gray-style walk
+    /// of its descriptor, each step map by row inversion (an involution).
+    fn maps(&self) -> &PassMaps {
+        self.maps.get_or_init(|| {
+            let [a1, a2, a3] = self
+                .affine
+                .as_ref()
+                .expect("a plan without maps carries descriptors");
+            let (r, c) = (self.shape.rows, self.shape.cols);
+            let (g1, g2, g3) = (a1.materialize(), a2.materialize(), a3.materialize());
+            PassMaps {
+                step1: invert_rows(&g1, c),
+                step2: invert_rows(&g2, r),
+                step3: invert_rows(&g3, c),
+                g1,
+                g2,
+                g3,
+            }
+        })
+    }
+
+    /// Test seam: true once the plan holds its six flat maps — always
+    /// for König-colored plans, and for a structured plan only after a
+    /// consumer asked for a map.
+    #[doc(hidden)]
+    pub fn maps_materialized(&self) -> bool {
+        self.maps.get().is_some()
     }
 
     /// The matrix shape of the three passes.
@@ -583,7 +607,7 @@ impl PlanIr {
         self.len() == 0
     }
 
-    /// The measured distribution γ_w(P) recorded at build time.
+    /// The distribution γ_w(P) recorded at build time.
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
@@ -594,40 +618,45 @@ impl PlanIr {
     }
 
     /// Step 1 flat destination map (`r × c`; entry = color).
+    /// Materializes a structured plan's maps.
     pub fn step1(&self) -> &[u32] {
-        &self.step1
+        &self.maps().step1
     }
 
     /// Step 2 flat destination map (`c × r`; entry = destination row).
+    /// Materializes a structured plan's maps.
     pub fn step2(&self) -> &[u32] {
-        &self.step2
+        &self.maps().step2
     }
 
     /// Step 3 flat destination map (`r × c`; entry = destination column).
+    /// Materializes a structured plan's maps.
     pub fn step3(&self) -> &[u32] {
-        &self.step3
+        &self.maps().step3
     }
 
     /// Pass 1 gather map (`r × c`): `out[i][k] = in[i][g1[i·c + k]]`.
+    /// Materializes a structured plan's maps.
     pub fn gather1(&self) -> &[u32] {
-        &self.g1
+        &self.maps().g1
     }
 
     /// Pass 2 gather map (`c × r`), on the transposed matrix.
+    /// Materializes a structured plan's maps.
     pub fn gather2(&self) -> &[u32] {
-        &self.g2
+        &self.maps().g2
     }
 
-    /// Pass 3 gather map (`r × c`).
+    /// Pass 3 gather map (`r × c`). Materializes a structured plan's maps.
     pub fn gather3(&self) -> &[u32] {
-        &self.g3
+        &self.maps().g3
     }
 
     /// Closed-form descriptors of the three gather maps (pass order), or
-    /// `None` for König-colored plans. When present, each descriptor is
-    /// verified-exact against its map: `affine[k].eval(p) == gather(p)`
-    /// for every flat position, so computed-index executors are
-    /// byte-equivalent to map-loading ones by construction.
+    /// `None` for König-colored plans. When present they define the
+    /// maps: `affine[k].eval(p) == gather(p)` for every flat position,
+    /// so computed-index executors are byte-equivalent to map-loading
+    /// ones by construction.
     pub fn affine(&self) -> Option<&[AffineStep; 3]> {
         self.affine.as_ref()
     }
@@ -692,31 +721,53 @@ impl PlanIr {
     #[inline]
     fn dest_of(&self, idx: usize) -> usize {
         let (r, c) = (self.shape.rows, self.shape.cols);
+        let maps = self.maps();
         let (i, j) = (idx / c, idx % c);
-        let k = self.step1[i * c + j] as usize;
-        let di = self.step2[k * r + i] as usize;
-        let dj = self.step3[di * c + k] as usize;
+        let k = maps.step1[i * c + j] as usize;
+        let di = maps.step2[k * r + i] as usize;
+        let dj = maps.step3[di * c + k] as usize;
         di * c + dj
     }
 
     /// Compose the three steps back into the flat permutation the plan
-    /// realises.
+    /// realises: for a structured plan, the inverse of its source map,
+    /// walked once.
     pub fn recompose(&self) -> Permutation {
+        if let Some(source) = self.source_bmmc() {
+            return source.inverse().to_permutation();
+        }
         let map: Vec<usize> = (0..self.len()).map(|idx| self.dest_of(idx)).collect();
         Permutation::from_vec_unchecked(map)
     }
 
     /// True iff this plan realises exactly `p` — the collision check every
-    /// store hit runs before a decoded plan is trusted (an O(n) walk, no
-    /// allocation).
+    /// store hit runs before a decoded plan is trusted. An O(n) walk with
+    /// no allocation: of the forward affine map for a structured plan, of
+    /// the three step maps otherwise.
     pub fn matches(&self, p: &Permutation) -> bool {
-        self.len() == p.len() && (0..self.len()).all(|idx| self.dest_of(idx) == p.apply(idx))
+        if self.len() != p.len() {
+            return false;
+        }
+        if self.affine.is_some() {
+            return self
+                .source_bmmc()
+                .is_some_and(|source| source.inverse().realises(p));
+        }
+        (0..self.len()).all(|idx| self.dest_of(idx) == p.apply(idx))
     }
 
-    /// Check the plan's internal contract: all six arrays sized to the
-    /// shape, every step row a permutation of its row, and every gather
-    /// map the exact per-row inverse of its step. Violations yield
+    /// Check the plan's internal contract; violations yield
     /// [`PlanError::Invalid`].
+    ///
+    /// * A structured plan: every descriptor fits its pass's geometry
+    ///   and has an invertible low-mask block (each gathered row is a
+    ///   permutation), and the three compose to an invertible source map
+    ///   ([`PlanIr::source_bmmc`]). O(log² n).
+    /// * Any plan holding maps (always a König-colored plan; a
+    ///   structured plan once materialized): all six arrays sized to the
+    ///   shape, every row a permutation of its row, every gather map the
+    ///   exact per-row inverse of its step, and each descriptor, if any,
+    ///   reproducing its gather map entry by entry.
     ///
     /// This is the one-time guard between a `PlanIr` of unknown
     /// provenance and the sweep executors: the SIMD gather tiers clamp
@@ -727,72 +778,48 @@ impl PlanIr {
     /// `NativeScheduled::from_plan` — runs this check so corruption
     /// surfaces as a typed error, never as wrong data.
     pub fn validate(&self) -> Result<()> {
-        let (r, c) = (self.shape.rows, self.shape.cols);
-        let n = self.shape.len();
-        let arrays: [(&str, &[u32], usize); 6] = [
-            ("step1", &self.step1, c),
-            ("step2", &self.step2, r),
-            ("step3", &self.step3, c),
-            ("gather1", &self.g1, c),
-            ("gather2", &self.g2, r),
-            ("gather3", &self.g3, c),
-        ];
-        for (name, flat, cols) in arrays {
-            if flat.len() != n {
-                return Err(PlanError::Invalid {
-                    reason: format!("{name} has {} entries, shape needs {n}", flat.len()),
-                });
-            }
-            if !rows_are_permutations(flat, cols) {
-                return Err(PlanError::Invalid {
-                    reason: format!("{name} rows are not permutations of 0..{cols}"),
-                });
+        let invalid = |reason: String| PlanError::Invalid { reason };
+        if let Some(affine) = &self.affine {
+            check_descriptors(self.shape, affine).map_err(invalid)?;
+            if self.source_bmmc().is_none() {
+                return Err(invalid(
+                    "descriptors do not compose to an invertible source map".into(),
+                ));
             }
         }
-        for (name, step, gather, cols) in [
-            ("gather1", &self.step1, &self.g1, c),
-            ("gather2", &self.step2, &self.g2, r),
-            ("gather3", &self.step3, &self.g3, c),
-        ] {
-            for (row_idx, row) in step.chunks_exact(cols).enumerate() {
-                let base = row_idx * cols;
-                for (j, &d) in row.iter().enumerate() {
-                    if gather[base + d as usize] as usize != j {
-                        return Err(PlanError::Invalid {
-                            reason: format!(
-                                "{name} is not the row inverse of its step at row {row_idx}"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+        let Some(maps) = self.maps.get() else {
+            return Ok(());
+        };
+        maps.check(self.shape).map_err(invalid)?;
         if let Some(affine) = &self.affine {
             for (name, step, gather) in [
-                ("affine1", &affine[0], &self.g1),
-                ("affine2", &affine[1], &self.g2),
-                ("affine3", &affine[2], &self.g3),
+                ("affine1", &affine[0], &maps.g1),
+                ("affine2", &affine[1], &maps.g2),
+                ("affine3", &affine[2], &maps.g3),
             ] {
                 if !step.matches_map(gather) {
-                    return Err(PlanError::Invalid {
-                        reason: format!("{name} descriptor does not reproduce its gather map"),
-                    });
+                    return Err(invalid(format!(
+                        "{name} descriptor does not reproduce its gather map"
+                    )));
                 }
             }
         }
         Ok(())
     }
 
-    /// Test seam: flip one bit of a derived gather-map entry, violating
-    /// the plan contract the way in-memory corruption would (the codec
-    /// cannot produce this state — gather maps are re-derived on decode).
-    /// Pass is 1-based; out-of-range arguments are clamped.
+    /// Test seam: flip one bit of a gather-map entry (materializing a
+    /// structured plan's maps first), violating the plan contract the way
+    /// in-memory corruption would (the codec cannot produce this state —
+    /// gather maps are re-derived on decode). Pass is 1-based;
+    /// out-of-range arguments are clamped.
     #[doc(hidden)]
     pub fn corrupt_gather_entry_for_tests(&mut self, pass: usize, idx: usize) {
+        self.maps();
+        let maps = self.maps.get_mut().expect("materialized above");
         let map = match pass {
-            1 => &mut self.g1,
-            2 => &mut self.g2,
-            _ => &mut self.g3,
+            1 => &mut maps.g1,
+            2 => &mut maps.g2,
+            _ => &mut maps.g3,
         };
         let idx = idx.min(map.len().saturating_sub(1));
         map[idx] ^= 1;
@@ -801,17 +828,17 @@ impl PlanIr {
     /// The step-1 destination maps as one [`Permutation`] per row — the
     /// staging form the simulator's row-wise schedules consume.
     pub fn step1_row_perms(&self) -> Vec<Permutation> {
-        rows_to_perms(&self.step1, self.shape.cols)
+        rows_to_perms(self.step1(), self.shape.cols)
     }
 
     /// The step-2 destination maps as one [`Permutation`] per column.
     pub fn step2_col_perms(&self) -> Vec<Permutation> {
-        rows_to_perms(&self.step2, self.shape.rows)
+        rows_to_perms(self.step2(), self.shape.rows)
     }
 
     /// The step-3 destination maps as one [`Permutation`] per row.
     pub fn step3_row_perms(&self) -> Vec<Permutation> {
-        rows_to_perms(&self.step3, self.shape.cols)
+        rows_to_perms(self.step3(), self.shape.cols)
     }
 }
 
@@ -911,22 +938,60 @@ fn color_mixer(bmmc: &Bmmc, row_bits: u32, col_bits: u32) -> Vec<usize> {
     g
 }
 
-/// Tabulate `f_fold(x) = XOR of col(t) over the set bits t of x` for
-/// `x` in `0..len` by an incremental Gray-style walk: each step XORs
-/// only the columns of the bits that changed, so the fill is O(len)
-/// amortized.
-fn gray_table(len: usize, col: impl Fn(usize) -> usize) -> Vec<usize> {
-    let mut out = vec![0usize; len];
-    let mut val = 0usize;
-    for (i, slot) in out.iter_mut().enumerate().skip(1) {
-        let mut changed = (i - 1) ^ i;
-        while changed != 0 {
-            val ^= col(changed.trailing_zeros() as usize);
-            changed &= changed - 1;
+/// The descriptor half of the plan contract, O(log² n): each descriptor
+/// fits its pass's geometry, and its low-mask block is invertible, so
+/// every row it gathers is a permutation of the row.
+fn check_descriptors(
+    shape: MatrixShape,
+    affine: &[AffineStep; 3],
+) -> std::result::Result<(), String> {
+    let (r, c) = (shape.rows, shape.cols);
+    for (name, step, cols) in [
+        ("affine1", &affine[0], c),
+        ("affine2", &affine[1], r),
+        ("affine3", &affine[2], c),
+    ] {
+        step.check_geometry(name, shape.len(), cols)?;
+        if !step.rows_are_permutations() {
+            return Err(format!(
+                "{name}: singular low masks gather rows that are not permutations of 0..{cols}"
+            ));
         }
-        *slot = val;
     }
-    out
+    Ok(())
+}
+
+/// The gather descriptor of one pass of `2^bits` elements in rows of
+/// `cols`, from its closed-form step (`step(p) < cols`, the in-row
+/// destination of flat position `p`).
+///
+/// The flat step map `p ↦ row(p)·cols + step(p)` is affine and, since
+/// each row is a permutation, invertible: O(log n) probes fix it, one
+/// GF(2) inverse sends every output slot back to its input, and the
+/// inverse's low bits are the gather. Offset and masks are the gather's
+/// values at 0 and at each `2^b` (XOR the offset) — the canonical form
+/// [`AffineStep::fit`] reads off a materialized gather map.
+fn gather_descriptor(bits: u32, cols: usize, step: impl Fn(usize) -> usize) -> Result<AffineStep> {
+    let flat = |p: usize| (p & !(cols - 1)) | step(p);
+    let offset = flat(0);
+    let forward = Bmmc::from_cols((0..bits).map(|b| flat(1 << b) ^ offset).collect(), offset)?;
+    let inverse = forward.inverse();
+    let low = |v: usize| (v & (cols - 1)) as u32;
+    Ok(AffineStep::from_parts(
+        cols.trailing_zeros(),
+        (0..bits).map(|b| low(inverse.col(b))).collect(),
+        low(inverse.offset()),
+    ))
+}
+
+/// `XOR of cols[t] over the set bits t of x`.
+fn fold(cols: &[usize], mut x: usize) -> usize {
+    let mut v = 0;
+    while x != 0 {
+        v ^= cols[x.trailing_zeros() as usize];
+        x &= x - 1;
+    }
+    v
 }
 
 /// Per-row inverse of a flat destination map: `out[row·cols + flat[row·cols

@@ -7,10 +7,12 @@
 //! produces, independent of any executor:
 //!
 //! * [`PlanIr`] — the backend-neutral plan: matrix shape, the three pass
-//!   permutations from the coloring, derived flat gather maps, the
-//!   measured distribution γ_w(P), and the permutation fingerprint. The
-//!   simulator (`hmm-offperm`) and the CPU backend (`hmm-native`) both
-//!   build *from* it instead of each re-deriving the coloring.
+//!   permutations from the coloring and their derived flat gather maps
+//!   (or, for a structured plan, the three [`AffineStep`] descriptors
+//!   the maps are derived from on demand), the distribution γ_w(P), and
+//!   the permutation fingerprint. The simulator (`hmm-offperm`) and the
+//!   CPU backend (`hmm-native`) both build *from* it instead of each
+//!   re-deriving the coloring.
 //! * [`codec`] — a versioned, std-only binary format (length-prefixed
 //!   sections, FNV-1a checksum) that never panics on hostile bytes.
 //! * [`PlanStore`] — a directory of encoded plans keyed by
